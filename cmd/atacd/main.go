@@ -49,10 +49,47 @@ import (
 	"repro/internal/version"
 )
 
+// options is atacd's parsed command line.
+type options struct {
+	addr, tech, optics, store, peers, self string
+
+	cores, scale, depth, epoch, replicas int
+	seed                                 int64
+	noStore, version                     bool
+	reqTimeout, probeInterval            time.Duration
+	runner                               experiments.RunnerFlags
+}
+
+// bindFlags registers atacd's flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{runner: experiments.DefaultRunnerFlags()}
+	o.runner.Grace = 30 * time.Second
+	fs.StringVar(&o.addr, "addr", ":8347", "HTTP listen address")
+	fs.IntVar(&o.cores, "cores", 64, "default total cores for jobs that do not specify one")
+	fs.IntVar(&o.scale, "scale", 1, "workload scale factor (part of every run's identity)")
+	fs.Int64Var(&o.seed, "seed", 42, "default simulation seed")
+	fs.StringVar(&o.tech, "tech", "", "default electrical technology scenario for jobs that do not specify one: "+strings.Join(tech.Scenarios(), ", "))
+	fs.StringVar(&o.optics, "optics", "", "default optical technology scenario for jobs that do not specify one: "+strings.Join(photonics.Variants(), ", "))
+	fs.IntVar(&o.depth, "queue-depth", 64, "bounded job queue length; beyond it submits get 429")
+	fs.IntVar(&o.epoch, "epoch", 10000, "progress-stream epoch length in cycles (0 disables live epoch events)")
+	fs.StringVar(&o.store, "store", "", "durable job ledger path (default: jobs.jsonl next to the cache; requires a cache unless set)")
+	fs.BoolVar(&o.noStore, "no-store", false, "disable the durable job store (jobs do not survive a crash)")
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 15*time.Second, "per-request deadline for non-streaming HTTP endpoints")
+	fs.BoolVar(&o.version, "version", false, "print the build version and exit")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated cluster peer base URLs, including this node (empty = single-node)")
+	fs.StringVar(&o.self, "self", "", "this node's base URL as it appears in -peers (default: derived from -addr)")
+	fs.IntVar(&o.replicas, "replicas", 2, "nodes holding each result (owner included); capped at the cluster size")
+	fs.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "peer health-probe cadence")
+	o.runner.Register(fs)
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("atacd: ")
-	os.Exit(run())
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	os.Exit(run(o))
 }
 
 // selfFromAddr derives this node's ring URL from the listen address when
@@ -70,91 +107,30 @@ func selfFromAddr(addr string) string {
 	return cluster.NormalizePeer("http://" + net.JoinHostPort(host, port))
 }
 
-func run() int {
-	var (
-		addr     = flag.String("addr", ":8347", "HTTP listen address")
-		cores    = flag.Int("cores", 64, "default total cores for jobs that do not specify one")
-		scale    = flag.Int("scale", 1, "workload scale factor (part of every run's identity)")
-		seed     = flag.Int64("seed", 42, "default simulation seed")
-		techN    = flag.String("tech", "", "default electrical technology scenario for jobs that do not specify one: "+strings.Join(tech.Scenarios(), ", "))
-		opticsN  = flag.String("optics", "", "default optical technology scenario for jobs that do not specify one: "+strings.Join(photonics.Variants(), ", "))
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way)")
-		depth    = flag.Int("queue-depth", 64, "bounded job queue length; beyond it submits get 429")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
-		epoch    = flag.Int("epoch", 10000, "progress-stream epoch length in cycles (0 disables live epoch events)")
-
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none)")
-		retries    = flag.Int("retries", 2, "extra attempts for transiently failed runs (panics, deadlines)")
-		grace      = flag.Duration("grace", 30*time.Second, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
-		storePath  = flag.String("store", "", "durable job ledger path (default: jobs.jsonl next to the cache; requires a cache unless set)")
-		noStore    = flag.Bool("no-store", false, "disable the durable job store (jobs do not survive a crash)")
-		reqTimeout = flag.Duration("request-timeout", 15*time.Second, "per-request deadline for non-streaming HTTP endpoints")
-		showVer    = flag.Bool("version", false, "print the build version and exit")
-
-		peersFlag = flag.String("peers", "", "comma-separated cluster peer base URLs, including this node (empty = single-node)")
-		selfFlag  = flag.String("self", "", "this node's base URL as it appears in -peers (default: derived from -addr)")
-		replicas  = flag.Int("replicas", 2, "nodes holding each result (owner included); capped at the cluster size")
-		probeIvl  = flag.Duration("probe-interval", 2*time.Second, "peer health-probe cadence")
-	)
-	flag.Parse()
-
-	if *showVer {
+func run(o *options) int {
+	if o.version {
 		fmt.Println(version.String())
 		return 0
 	}
 	// Fail on a scenario typo before binding the listen address.
-	if _, err := tech.ByName(*techN); err != nil {
+	if _, err := tech.ByName(o.tech); err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	if _, err := photonics.ByName(*opticsN); err != nil {
+	if _, err := photonics.ByName(o.optics); err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
 
-	r := experiments.NewRunner(experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed,
-		Tech: *techN, Optics: *opticsN})
-	r.Jobs = *jobsN
-	r.Shards = *shards
-	r.Retries = *retries
-	r.RunTimeout = *runTimeout
-	r.RecallFailures = true
-	r.EpochCycles = sim.Time(*epoch)
-	if *noCache {
-		r.Cache = nil
-	} else if *cacheDir != "" {
-		c, err := experiments.OpenCache(*cacheDir)
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
-		r.Cache = c
-	} else if r.Cache == nil {
-		if dir := experiments.DefaultCacheDir(); dir != "" {
-			if c, err := experiments.OpenCache(dir); err == nil {
-				r.Cache = c
-			} else {
-				log.Printf("warning: %v (continuing without cache)", err)
-			}
-		}
+	r, closeRunner, err := o.runner.Open(experiments.Options{Cores: o.cores, Scale: o.scale, Seed: o.seed,
+		Tech: o.tech, Optics: o.optics})
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
 	}
+	defer closeRunner()
+	r.EpochCycles = sim.Time(o.epoch)
 	if r.Cache != nil {
-		r.Cache.MaxBytes = *cacheMax
-		r.Cache.Log = func(s string) { log.Print(s) }
-		j, err := experiments.OpenJournal(r.Cache.JournalPath())
-		if err != nil {
-			log.Printf("warning: %v (continuing without journal)", err)
-		} else {
-			r.Journal = j
-			defer func() {
-				if err := j.Close(); err != nil {
-					log.Printf("warning: journal close: %v", err)
-				}
-			}()
-		}
 		log.Printf("cache: %s", r.Cache.Dir())
 	}
 
@@ -162,8 +138,8 @@ func run() int {
 	// and replayed on startup, so SIGKILL loses nothing. Without a cache
 	// (or with -no-store) the daemon still runs, just non-durably.
 	var store *serve.JobStore
-	if !*noStore {
-		path := *storePath
+	if !o.noStore {
+		path := o.store
 		if path == "" && r.Cache != nil {
 			path = filepath.Join(r.Cache.Dir(), serve.StoreFileName)
 		}
@@ -192,10 +168,10 @@ func run() int {
 	// from peers — so killing any node loses no completed work and costs
 	// no duplicate simulation.
 	var clusterCfg *serve.ClusterConfig
-	if peers := cluster.ParsePeers(*peersFlag); len(peers) > 0 {
-		self := cluster.NormalizePeer(*selfFlag)
+	if peers := cluster.ParsePeers(o.peers); len(peers) > 0 {
+		self := cluster.NormalizePeer(o.self)
 		if self == "" {
-			self = selfFromAddr(*addr)
+			self = selfFromAddr(o.addr)
 		}
 		ring := cluster.NewRing(peers)
 		if !ring.Contains(self) {
@@ -209,12 +185,12 @@ func run() int {
 					others = append(others, p)
 				}
 			}
-			prober := cluster.NewProber(others, cluster.ProberOptions{Interval: *probeIvl, Logf: log.Printf})
+			prober := cluster.NewProber(others, cluster.ProberOptions{Interval: o.probeInterval, Logf: log.Printf})
 			prober.Start(context.Background())
 			defer prober.Stop()
 			pick := func(hash string) []string {
 				var out []string
-				for _, p := range ring.Replicas(hash, *replicas) {
+				for _, p := range ring.Replicas(hash, o.replicas) {
 					if p != self && prober.Healthy(p) {
 						out = append(out, p)
 					}
@@ -230,18 +206,18 @@ func run() int {
 				log.Print("warning: clustered without a cache: results cannot replicate to or be recalled from peers")
 			}
 			clusterCfg = &serve.ClusterConfig{Self: self, Ring: ring, Healthy: prober.Healthy, Snapshot: prober.Snapshot}
-			log.Printf("cluster: %d nodes, self %s, %d replicas per result", ring.Len(), self, *replicas)
+			log.Printf("cluster: %d nodes, self %s, %d replicas per result", ring.Len(), self, o.replicas)
 		}
 	}
 
 	srv := serve.New(r, serve.Options{
-		QueueDepth:     *depth,
+		QueueDepth:     o.depth,
 		Workers:        r.Jobs,
-		RequestTimeout: *reqTimeout,
+		RequestTimeout: o.reqTimeout,
 		Store:          store,
 		Cluster:        clusterCfg,
 	}, log.Printf)
-	ctx, stopSignals := r.InstallSignalHandlerHook(*grace, log.Printf, func(stage string) {
+	ctx, stopSignals := r.InstallSignalHandlerHook(o.runner.Grace, log.Printf, func(stage string) {
 		if stage == "drain" {
 			srv.Drain()
 		}
@@ -252,10 +228,10 @@ func run() int {
 	// ReadHeaderTimeout guards against peers that open connections and
 	// never speak; handler-level timeouts (serve.Options.RequestTimeout)
 	// bound everything after the headers.
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	hs := &http.Server{Addr: o.addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("%s listening on %s", version.String(), *addr)
+	log.Printf("%s listening on %s", version.String(), o.addr)
 
 	select {
 	case err := <-errc:

@@ -38,115 +38,106 @@ import (
 	"repro/internal/version"
 )
 
+// options is figures' parsed command line.
+type options struct {
+	cores, scale                            int
+	seed                                    int64
+	tech, optics, scenarios, topos          string
+	only, out, svgDir, format, pprof        string
+	quiet, clearCache, retryFailed, version bool
+	runner                                  experiments.RunnerFlags
+}
+
+// bindFlags registers figures' flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{runner: experiments.DefaultRunnerFlags()}
+	fs.IntVar(&o.cores, "cores", 64, "total cores (paper: 1024)")
+	fs.IntVar(&o.scale, "scale", 1, "workload scale factor")
+	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
+	fs.StringVar(&o.tech, "tech", "", "electrical technology scenario for every figure: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
+	fs.StringVar(&o.optics, "optics", "", "optical technology scenario for every figure: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
+	fs.StringVar(&o.scenarios, "scenarios", "", `techsweep scenario list, comma-separated "tech[/optics]" pairs (default: the built-in six-point sweep)`)
+	fs.StringVar(&o.topos, "topos", "", `xtopo topology list, comma-separated network names, e.g. "bcast,corona,hybrid" (default: bcast,atac+,corona,hybrid; first entry is the normalization reference)`)
+	fs.StringVar(&o.only, "only", "", "comma-separated subset, e.g. 3,8,tablev,techsweep,xtopo")
+	fs.StringVar(&o.out, "o", "", "also write results to this file")
+	fs.StringVar(&o.svgDir, "svg", "", "also render each figure as an SVG into this directory")
+	fs.StringVar(&o.format, "format", "text", "output format: text, csv, json")
+	fs.BoolVar(&o.quiet, "q", false, "suppress per-run progress")
+	fs.BoolVar(&o.clearCache, "clear-cache", false, "invalidate the persistent result cache, then proceed")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.BoolVar(&o.retryFailed, "retry-failed", false, "re-attempt runs the journal recorded as terminally failed")
+	fs.BoolVar(&o.version, "version", false, "print the build version and exit")
+	o.runner.Register(fs)
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	os.Exit(run())
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	os.Exit(run(o))
 }
 
-func run() int {
-	var (
-		cores    = flag.Int("cores", 64, "total cores (paper: 1024)")
-		scale    = flag.Int("scale", 1, "workload scale factor")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		techN    = flag.String("tech", "", "electrical technology scenario for every figure: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
-		opticsN  = flag.String("optics", "", "optical technology scenario for every figure: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
-		scenList = flag.String("scenarios", "", `techsweep scenario list, comma-separated "tech[/optics]" pairs (default: the built-in six-point sweep)`)
-		topoList = flag.String("topos", "", `xtopo topology list, comma-separated network names, e.g. "bcast,corona,hybrid" (default: bcast,atac+,corona,hybrid; first entry is the normalization reference)`)
-		only     = flag.String("only", "", "comma-separated subset, e.g. 3,8,tablev,techsweep,xtopo")
-		out      = flag.String("o", "", "also write results to this file")
-		svgDir   = flag.String("svg", "", "also render each figure as an SVG into this directory")
-		format   = flag.String("format", "text", "output format: text, csv, json")
-		quiet    = flag.Bool("q", false, "suppress per-run progress")
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
-		clear    = flag.Bool("clear-cache", false, "invalidate the persistent result cache, then proceed")
-		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-
-		runTimeout  = flag.Duration("run-timeout", 0, "per-run wall-clock deadline, e.g. 5m (0 = none; overruns retry, then fail)")
-		retries     = flag.Int("retries", 2, "extra attempts for transiently failed runs (panics, deadlines)")
-		grace       = flag.Duration("grace", 15*time.Second, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
-		noJournal   = flag.Bool("no-journal", false, "disable the write-ahead run journal (journal.jsonl next to the cache)")
-		retryFailed = flag.Bool("retry-failed", false, "re-attempt runs the journal recorded as terminally failed")
-		showVer     = flag.Bool("version", false, "print the build version and exit")
-	)
-	flag.Parse()
-
-	if *showVer {
+func run(c *options) int {
+	if c.version {
 		fmt.Println(version.String())
 		return 0
 	}
-	if *pprofA != "" {
-		go func() { log.Println(http.ListenAndServe(*pprofA, nil)) }()
+	if c.pprof != "" {
+		go func() { log.Println(http.ListenAndServe(c.pprof, nil)) }()
 	}
 	start := time.Now()
 
-	f, err := report.ParseFormat(*format)
+	f, err := report.ParseFormat(c.format)
 	if err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
 	// Resolve the technology scenario before spending any simulation time:
 	// a typo should fail here, not after the first figure's runs.
-	if _, err := tech.ByName(*techN); err != nil {
+	if _, err := tech.ByName(c.tech); err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	if _, err := photonics.ByName(*opticsN); err != nil {
+	if _, err := photonics.ByName(c.optics); err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	scens, err := experiments.ParseScenarios(*scenList)
+	scens, err := experiments.ParseScenarios(c.scenarios)
 	if err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	topos, err := parseTopologies(*topoList)
+	topos, err := parseTopologies(c.topos)
 	if err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	o := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed,
-		Tech: *techN, Optics: *opticsN, Scenarios: scens, Topologies: topos}
-	r := experiments.NewRunner(o)
-	r.Jobs = *jobsN
-	r.Shards = *shards
-	r.Cache = openCache(*cacheDir, *noCache, *clear)
-	if r.Cache != nil {
-		r.Cache.MaxBytes = *cacheMax
+	o := experiments.Options{Cores: c.cores, Scale: c.scale, Seed: c.seed,
+		Tech: c.tech, Optics: c.optics, Scenarios: scens, Topologies: topos}
+	r, closeRunner, err := c.runner.Open(o)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
 	}
-	r.Retries = *retries
-	r.RunTimeout = *runTimeout
-	r.Partial = true
-	r.RecallFailures = !*retryFailed
-	if !*quiet {
-		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
-	}
-	if r.Cache != nil {
-		r.Cache.Log = func(s string) { log.Print(s) }
-		if !*noJournal {
-			j, err := experiments.OpenJournal(r.Cache.JournalPath())
-			if err != nil {
-				log.Printf("warning: %v (continuing without journal)", err)
-			} else {
-				r.Journal = j
-				defer func() {
-					if err := j.Close(); err != nil {
-						log.Printf("warning: journal close: %v", err)
-					}
-				}()
-			}
+	defer closeRunner()
+	if c.clearCache && r.Cache != nil {
+		if err := r.Cache.Invalidate(); err != nil {
+			log.Printf("warning: %v", err)
 		}
 	}
-	_, stopSignals := r.InstallSignalHandler(*grace, log.Printf)
+	r.Partial = true
+	r.RecallFailures = !c.retryFailed
+	if !c.quiet {
+		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
+	}
+	_, stopSignals := r.InstallSignalHandler(c.runner.Grace, log.Printf)
 	defer stopSignals()
 
 	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+	if c.out != "" {
+		f, err := os.Create(c.out)
 		if err != nil {
 			log.Print(err)
 			return experiments.ExitFatal
@@ -156,7 +147,7 @@ func run() int {
 	}
 
 	want := map[string]bool{}
-	for _, s := range strings.Split(strings.ToLower(*only), ",") {
+	for _, s := range strings.Split(strings.ToLower(c.only), ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			want[s] = true
 		}
@@ -221,26 +212,26 @@ func run() int {
 			log.Print(err)
 			return experiments.ExitFatal
 		}
-		if *svgDir != "" {
-			if err := writeSVG(*svgDir, j.id, t); err != nil {
+		if c.svgDir != "" {
+			if err := writeSVG(c.svgDir, j.id, t); err != nil {
 				log.Print(err)
 				return experiments.ExitFatal
 			}
 		}
 	}
-	if !*quiet {
+	if !c.quiet {
 		fmt.Fprintf(os.Stderr, "campaign: %d simulations run, %d recalled from cache, %d failures recalled from journal\n",
 			r.FreshRuns(), r.CacheHits(), r.RecalledFailures())
 	}
 	// Provenance manifest next to the figure outputs: what was run, from
 	// which revision, how much came from the cache, and — for degraded
 	// campaigns — the full failure/retry ledger.
-	if dir := manifestDir(*svgDir, *out); dir != "" {
+	if dir := manifestDir(c.svgDir, c.out); dir != "" {
 		p := r.Provenance(selected, time.Since(start))
 		path := filepath.Join(dir, "manifest.json")
 		if err := experiments.WriteManifest(path, p); err != nil {
 			log.Printf("warning: manifest: %v", err)
-		} else if !*quiet {
+		} else if !c.quiet {
 			fmt.Fprintln(os.Stderr, "provenance ->", path)
 		}
 	}
@@ -295,33 +286,6 @@ func manifestDir(svgDir, out string) string {
 		return filepath.Dir(out)
 	}
 	return ""
-}
-
-// openCache resolves the persistent result cache from the command line:
-// -no-cache disables it, -cache-dir (else REPRO_CACHE, else the user cache
-// dir) locates it, -clear-cache empties it first. Cache trouble is reported
-// and degrades to uncached operation rather than aborting the campaign.
-func openCache(dir string, disabled, clear bool) *experiments.Cache {
-	if disabled {
-		return nil
-	}
-	if dir == "" {
-		dir = experiments.DefaultCacheDir()
-	}
-	if dir == "" {
-		return nil
-	}
-	c, err := experiments.OpenCache(dir)
-	if err != nil {
-		log.Printf("warning: %v (continuing without cache)", err)
-		return nil
-	}
-	if clear {
-		if err := c.Invalidate(); err != nil {
-			log.Printf("warning: %v", err)
-		}
-	}
-	return c
 }
 
 // writeSVG renders a figure table as an SVG and writes fig<id>.svg:

@@ -1,86 +1,86 @@
-// Command sweep runs one-dimensional parameter sweeps of the full system
-// and emits CSV: runtime, energy, and E-D product per swept value. It
-// generalizes the fixed sweeps behind Figs 9, 11, 13, 15 and 16.
+// Command sweep runs one-dimensional parameter sweeps and emits CSV.
+// System sweeps report runtime, energy, and E-D product per swept value,
+// generalizing the fixed sweeps behind Figs 9, 11, 13, 15 and 16. The
+// load sweep is Fig 3's network-only experiment: latency per offered load
+// and ATAC+ routing scheme.
 //
 // Usage:
 //
 //	sweep -param flit   -values 16,32,64,128,256 -bench radix
 //	sweep -param rthres -values 2,4,8,12         -bench ocean_contig
 //	sweep -param sharers -values 4,8,16,32       -bench barnes
-//	sweep -param load -pattern tornado -values 2,5,10,20   (load in % — network only)
+//	sweep -param load -values 1,2,4,8,12,16      (Fig 3's loads, in %)
+//	sweep -param load -pattern tornado -values 2,5,10,20
 //
-// System sweeps share the campaign engine's resilience layer with
-// cmd/figures: runs are journaled next to the cache, failed points emit a
-// "# value N failed: ..." comment row instead of killing the sweep, and a
-// SIGINT/SIGTERM drains in-flight runs before emitting what completed.
+// Every sweep runs through the campaign engine shared with cmd/figures:
+// points run concurrently (up to -jobs), results persist in the on-disk
+// cache, runs are journaled next to it, failed points emit a "# ..."
+// comment row instead of killing the sweep, and a SIGINT/SIGTERM drains
+// in-flight runs before emitting what completed.
 // Exit codes: 0 complete, 1 fatal, 3 some points failed, 4 interrupted.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/experiments"
-	"repro/internal/noc"
 	"repro/internal/photonics"
-	"repro/internal/sim"
 	"repro/internal/tech"
 	"repro/internal/traffic"
 	"repro/internal/version"
 )
 
-// sweepOpts carries the campaign-engine knobs of a system sweep.
-type sweepOpts struct {
-	jobs       int
-	shards     int
-	cacheDir   string
-	noCache    bool
-	runTimeout time.Duration
-	retries    int
-	grace      time.Duration
+// options is sweep's parsed command line.
+type options struct {
+	param, values, bench, net, pattern, tech, optics string
+
+	cores   int
+	seed    int64
+	version bool
+	runner  experiments.RunnerFlags
+}
+
+// bindFlags registers sweep's flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{runner: experiments.DefaultRunnerFlags()}
+	fs.StringVar(&o.param, "param", "flit", "swept parameter: flit, rthres, sharers, load")
+	fs.StringVar(&o.values, "values", "", "comma-separated integer values (load: percent of a flit/cycle/core)")
+	fs.StringVar(&o.bench, "bench", "radix", "benchmark (system sweeps)")
+	fs.StringVar(&o.net, "net", "atac+", "network (system sweeps; load sweeps use ATAC+): pure, bcast, atac, atac+")
+	fs.IntVar(&o.cores, "cores", 64, "total cores")
+	fs.StringVar(&o.pattern, "pattern", "uniform", "traffic pattern (load sweeps): "+strings.Join(traffic.Patterns(), ", "))
+	fs.StringVar(&o.tech, "tech", "", "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
+	fs.StringVar(&o.optics, "optics", "", "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
+	fs.Int64Var(&o.seed, "seed", 42, "seed")
+	fs.BoolVar(&o.version, "version", false, "print the build version and exit")
+	o.runner.Register(fs)
+	return o
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
-	os.Exit(run())
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	os.Exit(run(o))
 }
 
-func run() int {
-	var (
-		param    = flag.String("param", "flit", "swept parameter: flit, rthres, sharers, load")
-		values   = flag.String("values", "", "comma-separated integer values")
-		bench    = flag.String("bench", "radix", "benchmark (system sweeps)")
-		net      = flag.String("net", "atac+", "network: pure, bcast, atac, atac+")
-		cores    = flag.Int("cores", 64, "total cores")
-		pattern  = flag.String("pattern", "uniform", "traffic pattern (load sweeps): "+strings.Join(traffic.Patterns(), ", "))
-		techN    = flag.String("tech", "", "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
-		opticsN  = flag.String("optics", "", "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
-		seed     = flag.Int64("seed", 42, "seed")
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; load sweeps are synthetic and always serial)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else disabled)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none)")
-		retries    = flag.Int("retries", 2, "extra attempts for transiently failed runs (panics, deadlines)")
-		grace      = flag.Duration("grace", 15*time.Second, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
-		showVer    = flag.Bool("version", false, "print the build version and exit")
-	)
-	flag.Parse()
-
-	if *showVer {
+func run(o *options) int {
+	if o.version {
 		fmt.Println(version.String())
 		return 0
 	}
-	vals, err := parseInts(*values)
+	vals, err := parseInts(o.values)
 	if err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
@@ -90,19 +90,43 @@ func run() int {
 		return experiments.ExitFatal
 	}
 
-	g := experiments.Geometry{Net: *net, Cores: *cores, Seed: *seed, Tech: *techN, Optics: *opticsN}
-	switch *param {
+	// Reject bad input before opening the cache or simulating anything.
+	var cfgs []config.Config
+	switch o.param {
 	case "load":
-		return sweepLoad(*pattern, g, vals)
+		if !slices.Contains(traffic.Patterns(), o.pattern) {
+			log.Printf("unknown -pattern %q", o.pattern)
+			return experiments.ExitFatal
+		}
 	case "flit", "rthres", "sharers":
-		return sweepSystem(*param, *bench, g, vals, sweepOpts{
-			jobs: *jobsN, shards: *shards, cacheDir: *cacheDir, noCache: *noCache,
-			runTimeout: *runTimeout, retries: *retries, grace: *grace,
-		})
+		g := experiments.Geometry{Net: o.net, Cores: o.cores, Seed: o.seed, Tech: o.tech, Optics: o.optics}
+		if cfgs, err = systemConfigs(o.param, g, vals); err != nil {
+			log.Print(err)
+			return experiments.ExitFatal
+		}
 	default:
-		log.Printf("unknown -param %q", *param)
+		log.Printf("unknown -param %q", o.param)
 		return experiments.ExitFatal
 	}
+
+	r, closeRunner, err := o.runner.Open(experiments.Options{Cores: o.cores, Scale: 1, Seed: o.seed,
+		Tech: o.tech, Optics: o.optics})
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
+	}
+	defer closeRunner()
+	ctx, stopSignals := r.InstallSignalHandler(o.runner.Grace, log.Printf)
+	defer stopSignals()
+
+	if o.param == "load" {
+		loadSweep(ctx, r, o.pattern, vals, os.Stdout)
+	} else if err := systemSweep(ctx, r, o.param, o.bench, vals, cfgs, os.Stdout); err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
+	}
+	fmt.Fprintf(os.Stderr, "done: %d simulations run, %d recalled from cache\n", r.FreshRuns(), r.CacheHits())
+	return r.ExitCode()
 }
 
 func parseInts(s string) ([]int, error) {
@@ -121,20 +145,16 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o sweepOpts) int {
-	// Build every swept configuration first, then hand the whole set to the
-	// campaign engine: points run concurrently (up to -jobs) and repeat
-	// invocations hit the persistent cache. Every point goes through
-	// experiments.BuildConfig, so the -tech/-optics scenario lands in the
-	// run keys (and energy models) exactly as it does in the other front
-	// ends.
+// systemConfigs builds and validates one configuration per swept value.
+// Every point goes through experiments.BuildConfig, so the -tech/-optics
+// scenario lands in the run keys (and energy models) exactly as it does
+// in the other front ends.
+func systemConfigs(param string, g experiments.Geometry, vals []int) ([]config.Config, error) {
 	cfgs := make([]config.Config, 0, len(vals))
-	specs := make([]experiments.RunSpec, 0, len(vals))
 	for _, v := range vals {
 		cfg, err := experiments.BuildConfig(g)
 		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
+			return nil, err
 		}
 		switch param {
 		case "flit":
@@ -146,94 +166,69 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 			cfg.Coherence.Sharers = v
 		}
 		if err := cfg.Validate(); err != nil {
-			log.Printf("value %d: %v", v, err)
-			return experiments.ExitFatal
+			return nil, fmt.Errorf("value %d: %v", v, err)
 		}
 		cfgs = append(cfgs, cfg)
-		specs = append(specs, experiments.RunSpec{Cfg: cfg, Bench: bench})
 	}
+	return cfgs, nil
+}
 
-	r := experiments.NewRunner(experiments.Options{Cores: g.Cores, Scale: 1, Seed: g.Seed,
-		Tech: g.Tech, Optics: g.Optics})
-	r.Jobs = o.jobs
-	r.Shards = o.shards
-	r.Retries = o.retries
-	r.RunTimeout = o.runTimeout
-	r.RecallFailures = true
-	if o.noCache {
-		r.Cache = nil
-	} else if o.cacheDir != "" {
-		c, err := experiments.OpenCache(o.cacheDir)
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
-		r.Cache = c
+// systemSweep runs bench on every configuration and writes one CSV row
+// per swept value. The whole set goes to the campaign engine first, so
+// points run concurrently and repeat invocations hit the cache.
+func systemSweep(ctx context.Context, r *experiments.Runner, param, bench string, vals []int, cfgs []config.Config, w io.Writer) error {
+	specs := make([]experiments.RunSpec, len(cfgs))
+	for i, cfg := range cfgs {
+		specs[i] = experiments.RunSpec{Cfg: cfg, Bench: bench}
 	}
-	if r.Cache != nil {
-		r.Cache.Log = func(s string) { log.Print(s) }
-		j, err := experiments.OpenJournal(r.Cache.JournalPath())
-		if err != nil {
-			log.Printf("warning: %v (continuing without journal)", err)
-		} else {
-			r.Journal = j
-			defer func() {
-				if err := j.Close(); err != nil {
-					log.Printf("warning: journal close: %v", err)
-				}
-			}()
-		}
-	}
-	ctx, stopSignals := r.InstallSignalHandler(o.grace, log.Printf)
-	defer stopSignals()
-
 	// Errors are surfaced per-point below, as comment rows in the CSV; an
 	// entirely failed sweep still emits its header and comments.
 	_ = r.RunAll(ctx, specs)
 
-	fmt.Printf("%s,cycles,instructions,energy_mJ,edp_uJs\n", param)
+	fmt.Fprintf(w, "%s,cycles,instructions,energy_mJ,edp_uJs\n", param)
 	for i, v := range vals {
 		res, err := r.Run(cfgs[i], bench)
 		if err != nil {
-			fmt.Printf("# value %d failed: %v\n", v, err)
+			fmt.Fprintf(w, "# value %d failed: %v\n", v, err)
 			continue
 		}
 		m, err := energy.Build(cfgs[i])
 		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
+			return err
 		}
 		bd := energy.Combine(m, res)
-		fmt.Printf("%d,%d,%d,%.4f,%.4f\n", v, res.Cycles, res.Instructions,
+		fmt.Fprintf(w, "%d,%d,%d,%.4f,%.4f\n", v, res.Cycles, res.Instructions,
 			bd.Total()*1e3, energy.EDP(m, res)*1e6)
 	}
-	fmt.Fprintln(os.Stderr, "done")
-	return r.ExitCode()
+	return nil
 }
 
-func sweepLoad(pattern string, g experiments.Geometry, percents []int) int {
-	g.Net = "atac+"
-	cfg, err := experiments.BuildConfig(g)
-	if err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
+// loadSweep runs Fig 3's measurement (see experiments.Fig3Spec) with the
+// given traffic pattern at each offered load, in percent of a flit per
+// cycle per core, for every Fig 3 routing scheme of ATAC+. It writes one
+// CSV row per load and scheme.
+func loadSweep(ctx context.Context, r *experiments.Runner, pattern string, percents []int, w io.Writer) {
+	cfg := r.Opt.Config(config.ATACPlus)
+	schemes := experiments.Fig3Schemes(cfg.MeshDim())
+	loads := make([]float64, len(percents))
+	for i, pc := range percents {
+		loads[i] = float64(pc) / 100
 	}
-	seed := g.Seed
-	p, err := traffic.ByName(pattern, cfg.MeshDim(), 0.001)
-	if err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
+	// Per-point errors surface as comment rows below.
+	_ = r.RunAll(ctx, r.SynthSpecs(schemes, loads, experiments.Fig3Spec(pattern, 0)))
+
+	fmt.Fprintln(w, "load_pct,scheme,injected,delivered,mean_lat,p50,p95,p99,max")
+	for i, pc := range percents {
+		sp := experiments.Fig3Spec(pattern, loads[i])
+		for _, sch := range schemes {
+			res, err := r.RunSynthetic(r.Opt.SchemeConfig(sch), sp)
+			if err != nil {
+				fmt.Fprintf(w, "# load %d %s failed: %v\n", pc, sch.Name, err)
+				continue
+			}
+			s := res.Synth
+			fmt.Fprintf(w, "%d,%s,%d,%d,%.2f,%d,%d,%d,%d\n", pc, sch.Name, s.Injected, s.Delivered,
+				s.MeanLat, s.P50Lat, s.P95Lat, s.P99Lat, s.MaxLat)
+		}
 	}
-	fmt.Println("load_pct,injected,delivered,mean_lat,p50,p95,p99,max")
-	for _, pc := range percents {
-		var k sim.Kernel
-		a := noc.NewAtac(&k, &cfg)
-		res := traffic.Drive(&k, a, cfg.Cores, p, float64(pc)/100, cfg.Network.FlitBits,
-			2000, 6000, 20000, seed)
-		fmt.Printf("%d,%d,%d,%.2f,%d,%d,%d,%d\n", pc, res.Injected, res.Delivered,
-			res.Latency.Mean(), res.Latency.Percentile(50), res.Latency.Percentile(95),
-			res.Latency.Percentile(99), res.Latency.Max())
-	}
-	fmt.Fprintln(os.Stderr, "done")
-	return experiments.ExitOK
 }

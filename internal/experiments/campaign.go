@@ -546,7 +546,7 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench string, 
 		h(cfg, bench, attempt) // chaos seam: may panic, by design
 	}
 	if sp, ok := ParseSynthBench(bench); ok {
-		return r.runSynthetic(cfg, bench, sp)
+		return runSynthetic(cfg, bench, sp)
 	}
 	if r.EpochCycles > 0 && r.Events != nil {
 		return r.runObserved(ctx, cfg, bench)
@@ -725,12 +725,7 @@ func (r *Runner) FigureRuns(id string) []RunSpec {
 		schemes := Fig3Schemes(cfg0.MeshDim())[:5]
 		for _, b := range r.apps() {
 			for _, sch := range schemes {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.Routing = sch.Routing
-				if sch.RThres > 0 {
-					cfg.Network.RThres = sch.RThres
-				}
-				add(cfg, b)
+				add(r.Opt.SchemeConfig(sch), b)
 			}
 		}
 	case "14":

@@ -19,7 +19,7 @@ func TestConcurrentIdenticalRuns(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 1})
 	r.Cache = nil
 	sp := SynthSpec{Pattern: "uniform", Load: 0.05, BcastFrac: 0.001, Warmup: 200, Measure: 400}
-	cfg := r.SchemeConfig(Fig3Schemes(4)[0])
+	cfg := r.Opt.SchemeConfig(Fig3Schemes(4)[0])
 
 	const callers = 16
 	results := make([]system.Result, callers)
@@ -74,7 +74,7 @@ func TestConcurrentDistinctRuns(t *testing.T) {
 		}
 	}
 	loads := []float64{0.01, 0.02, 0.03, 0.04}
-	cfg := r.SchemeConfig(Fig3Schemes(4)[0])
+	cfg := r.Opt.SchemeConfig(Fig3Schemes(4)[0])
 	var wg sync.WaitGroup
 	for _, load := range loads {
 		sp := SynthSpec{Pattern: "uniform", Load: load, BcastFrac: 0.001, Warmup: 200, Measure: 400}

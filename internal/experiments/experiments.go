@@ -19,12 +19,10 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/energy"
-	"repro/internal/noc"
 	"repro/internal/photonics"
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/tech"
-	"repro/internal/traffic"
 )
 
 // Benchmarks lists the evaluation applications in the paper's Fig 4 order.
@@ -160,26 +158,9 @@ func Fig3Schemes(meshDim int) []RoutingScheme {
 	}
 }
 
-// SyntheticLatency drives uniform-random unicast traffic (plus bcastFrac
-// broadcasts) at `load` flits/cycle/core through an ATAC fabric with the
-// given routing scheme and returns the average delivery latency in cycles
-// for messages injected after warmup. Saturated networks report the
-// (large) latency accumulated before the drain horizon.
-func SyntheticLatency(o Options, sch RoutingScheme, load, bcastFrac float64, warmup, measure sim.Time) float64 {
-	cfg := o.Config(config.ATACPlus)
-	cfg.Network.Routing = sch.Routing
-	if sch.RThres > 0 {
-		cfg.Network.RThres = sch.RThres
-	}
-	var k sim.Kernel
-	a := noc.NewAtac(&k, &cfg)
-	p := traffic.Uniform{Cores: cfg.Cores, BcastFrac: bcastFrac}
-	res := traffic.Drive(&k, a, cfg.Cores, p, load, cfg.Network.FlitBits,
-		warmup, measure, 20000, o.Seed)
-	return res.Latency.Mean()
-}
-
-// Fig3 regenerates the latency-vs-load curves.
+// Fig3 regenerates the latency-vs-load curves. It simulates each point
+// directly, with no Runner, cache or journal; `sweep -param load` runs
+// the same points through the cached Runner.
 func Fig3(o Options, loads []float64) *Table {
 	if len(loads) == 0 {
 		loads = []float64{0.01, 0.02, 0.04, 0.08, 0.12, 0.16}
@@ -195,9 +176,15 @@ func Fig3(o Options, loads []float64) *Table {
 	}
 	for _, load := range loads {
 		row := []string{f3(load)}
+		sp := Fig3Spec("uniform", load)
 		for _, sch := range schemes {
-			lat := SyntheticLatency(o, sch, load, 0.001, 3000, 6000)
-			row = append(row, f2(lat))
+			res, err := runSynthetic(o.SchemeConfig(sch), sp.Bench(), sp)
+			if err != nil {
+				row = append(row, "—")
+				t.Notes = append(t.Notes, fmt.Sprintf("load %s %s: %v", f3(load), sch.Name, err))
+				continue
+			}
+			row = append(row, f2(res.Synth.MeanLat))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -716,11 +703,7 @@ func (r *Runner) Fig13() (*Table, error) {
 			var cells []string
 			rowSums := make([]float64, len(schemes))
 			for i, sch := range schemes {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.Routing = sch.Routing
-				if sch.RThres > 0 {
-					cfg.Network.RThres = sch.RThres
-				}
+				cfg := r.Opt.SchemeConfig(sch)
 				res, err := r.Run(cfg, b)
 				if err != nil {
 					return nil, err

@@ -350,8 +350,15 @@ func TestFig3Synthetic(t *testing.T) {
 	if len(sch) != 6 || sch[0].Name != "Cluster" || sch[5].Name != "Distance-All" {
 		t.Fatalf("schemes: %+v", sch)
 	}
-	low := SyntheticLatency(o, sch[0], 0.01, 0.001, 500, 1500)
-	high := SyntheticLatency(o, sch[0], 0.30, 0.001, 500, 1500)
+	meanLat := func(load float64) float64 {
+		sp := SynthSpec{Pattern: "uniform", Load: load, BcastFrac: 0.001, Warmup: 500, Measure: 1500}
+		res, err := runSynthetic(o.SchemeConfig(sch[0]), sp.Bench(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Synth.MeanLat
+	}
+	low, high := meanLat(0.01), meanLat(0.30)
 	if low <= 0 {
 		t.Fatal("no latency measured")
 	}

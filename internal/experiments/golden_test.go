@@ -21,6 +21,7 @@ var update = flag.Bool("update", false, "rewrite golden figure files")
 // goldenDoc is the committed shape of the 16-core smoke campaign: the
 // full rendered figure tables plus the headline EDP ratios as numbers.
 type goldenDoc struct {
+	Fig3 *Table `json:"fig3"`
 	Fig4 *Table `json:"fig4"`
 	Fig8 *Table `json:"fig8"`
 	// Campaign-average energy-delay ratios vs ATAC+ (the paper's
@@ -47,7 +48,7 @@ func TestGoldenFigures16Core(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := goldenDoc{Fig4: fig4, Fig8: fig8, AvgEDPBcastOverAtac: avgB, AvgEDPPureOverAtac: avgP}
+	got := goldenDoc{Fig3: Fig3(r.Opt, nil), Fig4: fig4, Fig8: fig8, AvgEDPBcastOverAtac: avgB, AvgEDPPureOverAtac: avgP}
 
 	// Basic sanity independent of the golden. (No ordering claim: at 16
 	// cores the optical fabric's latency overhead outweighs its scaling
@@ -84,7 +85,7 @@ func TestGoldenFigures16Core(t *testing.T) {
 	for _, tb := range []struct {
 		name      string
 		got, want *Table
-	}{{"fig4", got.Fig4, want.Fig4}, {"fig8", got.Fig8, want.Fig8}} {
+	}{{"fig3", got.Fig3, want.Fig3}, {"fig4", got.Fig4, want.Fig4}, {"fig8", got.Fig8, want.Fig8}} {
 		if !reflect.DeepEqual(tb.got, tb.want) {
 			t.Errorf("%s diverged from golden:\ngot:\n%v\nwant:\n%v", tb.name, tb.got, tb.want)
 		}

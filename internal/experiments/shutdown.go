@@ -1,6 +1,6 @@
 // Graceful-shutdown plumbing shared by the campaign commands
-// (cmd/figures, cmd/sweep): two-stage SIGINT/SIGTERM handling and the
-// process exit-code policy.
+// (cmd/figures, cmd/sweep, cmd/atacd): two-stage SIGINT/SIGTERM handling
+// and the process exit-code policy.
 //
 // Stage one (first signal) quiesces the Runner — in-flight simulations
 // drain to completion, runs that would need fresh simulation fail fast

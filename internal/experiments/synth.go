@@ -1,12 +1,13 @@
-// Synthetic network-only runs through the campaign engine.
+// Synthetic network-only runs.
 //
-// Fig 3 and cmd/netsweep drive uniform-random (and other) traffic
-// patterns through a bare fabric with no cores or coherence. Encoding
-// such a run as a pseudo-benchmark name ("synth:...") lets it flow
-// through the Runner unchanged, so network-only sweeps inherit the
-// singleflight dedup, worker pool, persistent cache and journal that the
-// application campaigns already have. The latency statistics land in
-// Result.Synth and are cached like any other result.
+// Fig 3 and `sweep -param load` drive uniform-random (and other) traffic
+// patterns through a bare fabric with no cores or coherence; runSynthetic
+// is the one implementation of such a run. Fig 3 calls it directly. The
+// load sweep encodes each run as a pseudo-benchmark name ("synth:...") so
+// it flows through the Runner unchanged and inherits the singleflight
+// dedup, worker pool, persistent cache and journal that the application
+// campaigns already have. The latency statistics land in Result.Synth
+// and are cached like any other result.
 package experiments
 
 import (
@@ -36,9 +37,14 @@ type SynthSpec struct {
 // synthPrefix marks a pseudo-benchmark name as a synthetic run.
 const synthPrefix = "synth:"
 
-// synthDrainLimit bounds the post-measurement drain, matching the Fig 3
-// and load-sweep drivers.
+// synthDrainLimit bounds the post-measurement drain.
 const synthDrainLimit = 20000
+
+// Fig3Spec is the measurement behind Fig 3 at one offered load: the given
+// pattern with 0.1% broadcasts, 3000 warmup and 6000 measured cycles.
+func Fig3Spec(pattern string, load float64) SynthSpec {
+	return SynthSpec{Pattern: pattern, Load: load, BcastFrac: 0.001, Warmup: 3000, Measure: 6000}
+}
 
 // Bench encodes the spec as a canonical pseudo-benchmark name. The
 // encoding is part of the run's identity: it appears in the memo key and
@@ -96,25 +102,25 @@ func (r *Runner) RunSynthetic(cfg config.Config, sp SynthSpec) (system.Result, e
 	return r.Run(cfg, sp.Bench())
 }
 
-// SynthSpecs builds the RunSpec set of a (scheme x load) sweep for
-// Prefetch: every named routing scheme of the base config's mesh span,
-// crossed with every offered load.
+// SynthSpecs builds the RunSpec set of a (load x scheme) sweep for
+// Prefetch: every offered load crossed with every named routing scheme,
+// in that order.
 func (r *Runner) SynthSpecs(schemes []RoutingScheme, loads []float64, sp SynthSpec) []RunSpec {
 	var specs []RunSpec
 	for _, load := range loads {
 		s := sp
 		s.Load = load
 		for _, sch := range schemes {
-			specs = append(specs, RunSpec{Cfg: r.SchemeConfig(sch), Bench: s.Bench()})
+			specs = append(specs, RunSpec{Cfg: r.Opt.SchemeConfig(sch), Bench: s.Bench()})
 		}
 	}
 	return specs
 }
 
 // SchemeConfig derives the ATAC+ configuration for one Fig 3 routing
-// scheme under this Runner's campaign options.
-func (r *Runner) SchemeConfig(sch RoutingScheme) config.Config {
-	cfg := r.Opt.Config(config.ATACPlus)
+// scheme under these campaign options.
+func (o Options) SchemeConfig(sch RoutingScheme) config.Config {
+	cfg := o.Config(config.ATACPlus)
 	cfg.Network.Routing = sch.Routing
 	if sch.RThres > 0 {
 		cfg.Network.RThres = sch.RThres
@@ -133,7 +139,7 @@ func (r *Runner) SchemeConfig(sch RoutingScheme) config.Config {
 // order is a cross-shard total order no conservative window schedule can
 // reproduce (the same reason fault-injected configs refuse to shard),
 // and the bare fabric is cheap enough that parallelism buys nothing.
-func (r *Runner) runSynthetic(cfg config.Config, bench string, sp SynthSpec) (system.Result, error) {
+func runSynthetic(cfg config.Config, bench string, sp SynthSpec) (system.Result, error) {
 	p, err := traffic.ByName(sp.Pattern, cfg.MeshDim(), sp.BcastFrac)
 	if err != nil {
 		return system.Result{}, err
