@@ -50,7 +50,6 @@ func main() {
 		techN   = flag.String("tech", "", "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
 		opticsN = flag.String("optics", "", "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
 		seed    = flag.Int64("seed", 42, "simulation seed")
-		shards  = flag.Int("shards", 0, "parallel PDES shards, one per cluster-row slab (0: REPRO_SHARDS env, else 1 = serial; results are bit-identical either way)")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
 		traceN  = flag.Int("trace", 0, "dump the last N protocol events after the run")
 		cfgPath = flag.String("config", "", "load the system configuration from this JSON file (overrides the geometry flags)")
@@ -138,30 +137,9 @@ func main() {
 		go func() { log.Println(http.ListenAndServe(*pprofAddr, nil)) }()
 	}
 
-	nsh := *shards
-	if nsh <= 0 {
-		nsh = experiments.DefaultShards()
-	}
-	if nsh > 1 && (*traceN > 0 || *traceOut != "") {
-		// The protocol trace ring records the coherence layer's global event
-		// order from concurrent shard goroutines without synchronization;
-		// only the serial kernel can feed it coherently.
-		log.Println("protocol tracing forces serial execution; ignoring -shards")
-		nsh = 1
-	}
-	sys, err := system.NewSharded(cfg, nsh)
+	sys, err := system.New(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if nsh > 1 && sys.Shards != nsh {
-		if cfg.Fault.Enabled {
-			// The injector draws from one global RNG stream whose draw order
-			// no conservative window schedule can reproduce.
-			log.Println("fault injection forces serial execution; ignoring -shards")
-		} else {
-			log.Printf("using %d shards (%d requested; shards must divide the %d cluster rows)",
-				sys.Shards, nsh, cfg.MeshDim()/cfg.ClusterDim)
-		}
 	}
 	spec, err := system.WorkloadFor(cfg, *bench, *scale)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -68,7 +69,6 @@ func TestRunnerFlags(t *testing.T) {
 		want func(*experiments.RunnerFlags)
 	}{
 		{"-jobs=3", func(f *experiments.RunnerFlags) { f.Jobs = 3 }},
-		{"-shards=2", func(f *experiments.RunnerFlags) { f.Shards = 2 }},
 		{"-cache-dir=/tmp/c", func(f *experiments.RunnerFlags) { f.CacheDir = "/tmp/c" }},
 		{"-no-cache", func(f *experiments.RunnerFlags) { f.NoCache = true }},
 		{"-cache-max-bytes=4096", func(f *experiments.RunnerFlags) { f.CacheMaxBytes = 4096 }},
@@ -85,6 +85,13 @@ func TestRunnerFlags(t *testing.T) {
 		} else if o.runner != want {
 			t.Errorf("%s: bound %+v, want %+v", tc.arg, o.runner, want)
 		}
+	}
+	// A deleted runner flag must fail to parse, not be silently ignored.
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	bindFlags(fs)
+	if err := fs.Parse([]string{"-shards", "2"}); err == nil {
+		t.Error("-shards 2 parsed; want an unknown-flag error")
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 type Ctrl struct {
 	s  *System
 	id int
-	k  *sim.Kernel // kernel of the shard owning this core (set by Partition)
-	st *Stats      // that shard's statistics block
 
 	l1, l2 *cacheArray
 
@@ -84,21 +82,21 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 		panic(fmt.Sprintf("coherence: core %d issued a second outstanding access", c.id))
 	}
 	line := c.s.LineOf(addr)
-	st := c.st
+	st := &c.s.stats
 	l1h := sim.Time(c.s.Cfg.Caches.L1HitCycles)
 
 	if op == OpLoad {
 		st.L1DReads++
 		if c.l1.lookup(line) != Invalid {
 			v := c.s.Vals.Read(addr)
-			c.k.Schedule(l1h, func() { done(v) })
+			c.s.K.Schedule(l1h, func() { done(v) })
 			return
 		}
 	} else {
 		st.L1DWrites++
 		if c.l1.lookup(line) == Modified {
 			v := c.applyWrite(op, addr, sval, f)
-			c.k.Schedule(l1h, func() { done(v) })
+			c.s.K.Schedule(l1h, func() { done(v) })
 			return
 		}
 	}
@@ -112,13 +110,13 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 	if op == OpLoad && s2 != Invalid {
 		c.l1fill(line, s2)
 		v := c.s.Vals.Read(addr)
-		c.k.Schedule(l2lat, func() { done(v) })
+		c.s.K.Schedule(l2lat, func() { done(v) })
 		return
 	}
 	if op != OpLoad && s2 == Modified {
 		c.l1fill(line, Modified)
 		v := c.applyWrite(op, addr, sval, f)
-		c.k.Schedule(l2lat, func() { done(v) })
+		c.s.K.Schedule(l2lat, func() { done(v) })
 		return
 	}
 
@@ -154,13 +152,13 @@ func (c *Ctrl) applyWrite(op AccessOp, addr, sval uint64, f func(uint64) uint64)
 func (c *Ctrl) l1fill(line uint64, st State) {
 	_, vs, ev := c.l1.insert(line, st)
 	if ev && vs == Modified {
-		c.st.L2Writes++
+		c.s.stats.L2Writes++
 	}
 }
 
 // l2fill inserts a granted line into the L2, handling victim eviction.
 func (c *Ctrl) l2fill(line uint64, st State) {
-	c.st.L2Writes++
+	c.s.stats.L2Writes++
 	vline, vstate, ev := c.l2.insert(line, st)
 	if !ev {
 		return
@@ -188,7 +186,7 @@ func (c *Ctrl) l2fill(line uint64, st State) {
 func (c *Ctrl) handleUnicast(m *Msg) {
 	if m.Type != MsgEvictAck && !seqLE(m.Seq, c.lastSeq[m.Slice]) {
 		c.s.trace("reorder", "core %d gates %v behind seq %d", c.id, m, c.lastSeq[m.Slice])
-		c.st.ReorderBufferedUni++
+		c.s.stats.ReorderBufferedUni++
 		c.uniBuf[m.Slice] = append(c.uniBuf[m.Slice], m)
 		return
 	}
@@ -199,7 +197,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 	line := m.Line
 	switch m.Type {
 	case MsgInv:
-		c.st.L2TagProbes++
+		c.s.stats.L2TagProbes++
 		switch c.l2.peek(line) {
 		case Shared:
 			c.invalidateLocal(line)
@@ -216,7 +214,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 			panic(fmt.Sprintf("coherence: core %d got Inv for Modified line %#x", c.id, line))
 		}
 	case MsgWBReq:
-		c.st.L2TagProbes++
+		c.s.stats.L2TagProbes++
 		if c.l2.peek(line) == Modified {
 			c.l2.setState(line, Shared)
 			c.l1.setState(line, Shared)
@@ -225,7 +223,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 			c.s.send(c.id, m.From, &Msg{Type: MsgWBRep, Line: line, From: c.id, Slice: m.Slice, Stale: true})
 		}
 	case MsgFlushReq:
-		c.st.L2TagProbes++
+		c.s.stats.L2TagProbes++
 		if c.l2.peek(line) == Modified {
 			c.invalidateLocal(line)
 			c.s.send(c.id, m.From, &Msg{Type: MsgFlushRep, Line: line, From: c.id, Slice: m.Slice})
@@ -266,14 +264,14 @@ func (c *Ctrl) applyGrant(m *Msg) {
 		v = c.applyWrite(p.op, p.addr, p.sval, p.f)
 	}
 	done := p.done
-	c.k.Schedule(c.fillLatency(), func() { done(v) })
+	c.s.K.Schedule(c.fillLatency(), func() { done(v) })
 
 	// DirkB: a broadcast that overtook this grant already invalidated us
 	// at the directory; catch up by self-invalidating.
 	if kill, ok := c.killSeq[p.line]; ok {
 		delete(c.killSeq, p.line)
 		if !seqLE(kill, m.Seq) && st == Shared {
-			c.k.Schedule(1, func() { c.invalidateLocal(m.Line) })
+			c.s.K.Schedule(1, func() { c.invalidateLocal(m.Line) })
 		}
 	}
 
@@ -302,10 +300,10 @@ func (c *Ctrl) handleBcast(m *Msg) {
 			// buffer until the ShRep or EvictAck arrives. Deadlock-free:
 			// ACKwise awaits acks only from actual sharers.
 			c.s.trace("reorder", "core %d buffers %v (pendSh=%v evicting=%v)", c.id, m, pendSh, c.evicting[line])
-			c.st.ReorderBufferedBcast++
+			c.s.stats.ReorderBufferedBcast++
 			c.bcastBuf[line] = append(c.bcastBuf[line], m)
 		default:
-			c.st.L2TagProbes++
+			c.s.stats.L2TagProbes++
 			switch c.l2.peek(line) {
 			case Shared:
 				c.invalidateLocal(line)
@@ -326,7 +324,7 @@ func (c *Ctrl) handleBcast(m *Msg) {
 
 	// DirkB: every core acknowledges every broadcast; no buffering (the
 	// directory awaits all cores, so withholding acks would deadlock).
-	c.st.L2TagProbes++
+	c.s.stats.L2TagProbes++
 	if c.l2.peek(line) == Shared {
 		c.invalidateLocal(line)
 	} else if pendSh {
@@ -357,8 +355,8 @@ func (c *Ctrl) resolveGrantBuffered(line uint64, grantSeq uint16) {
 			// Issued before our grant: not addressed to us.
 			continue
 		}
-		c.k.Schedule(1, func() {
-			c.st.L2TagProbes++
+		c.s.K.Schedule(1, func() {
+			c.s.stats.L2TagProbes++
 			if c.l2.peek(line) == Shared {
 				c.invalidateLocal(line)
 			}
@@ -417,7 +415,7 @@ func (c *Ctrl) invalidateLocal(line uint64) {
 func (c *Ctrl) waitChange(addr uint64, done func()) {
 	line := c.s.LineOf(addr)
 	if c.l2.peek(line) == Invalid {
-		c.k.Schedule(1, done)
+		c.s.K.Schedule(1, done)
 		return
 	}
 	c.waiters[line] = append(c.waiters[line], done)
@@ -430,6 +428,6 @@ func (c *Ctrl) fireWaiters(line uint64) {
 	}
 	delete(c.waiters, line)
 	for _, w := range ws {
-		c.k.Schedule(1, w)
+		c.s.K.Schedule(1, w)
 	}
 }

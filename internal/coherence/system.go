@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/mem"
@@ -13,68 +12,22 @@ import (
 	"repro/internal/trace"
 )
 
-// vstripes is the lock-striping factor of the ValueStore. Word accesses
-// hash to stripes, so shards touching disjoint words contend only on
-// 1/vstripes of the keyspace.
-const vstripes = 64
-
 // ValueStore is the single authoritative backing store for all simulated
 // memory words (8-byte granularity). Absent words read as zero.
-//
-// Under a partitioned simulation the coherence protocol still serializes
-// conflicting accesses to a *word* (single-writer at the directory), but
-// different shards may concurrently touch different words, which would
-// race on map internals. The store therefore stripes its words across
-// locked maps; the locks are elided entirely (a plain branch) while the
-// simulation runs on a single shard.
 type ValueStore struct {
-	shared  bool // take stripe locks (more than one shard may access)
-	stripes [vstripes]vstripe
-}
-
-type vstripe struct {
-	mu    sync.Mutex
 	words map[uint64]uint64
 }
 
 // NewValueStore returns an empty store.
 func NewValueStore() *ValueStore {
-	v := &ValueStore{}
-	for i := range v.stripes {
-		v.stripes[i].words = make(map[uint64]uint64)
-	}
-	return v
+	return &ValueStore{words: make(map[uint64]uint64)}
 }
-
-// SetShared switches stripe locking on or off. Must not be called while a
-// simulation is running.
-func (v *ValueStore) SetShared(shared bool) { v.shared = shared }
 
 // Read returns the word at byte address addr (aligned down to 8 bytes).
-func (v *ValueStore) Read(addr uint64) uint64 {
-	w := addr >> 3
-	s := &v.stripes[w%vstripes]
-	if !v.shared {
-		return s.words[w]
-	}
-	s.mu.Lock()
-	val := s.words[w]
-	s.mu.Unlock()
-	return val
-}
+func (v *ValueStore) Read(addr uint64) uint64 { return v.words[addr>>3] }
 
 // Write stores the word at byte address addr.
-func (v *ValueStore) Write(addr, val uint64) {
-	w := addr >> 3
-	s := &v.stripes[w%vstripes]
-	if !v.shared {
-		s.words[w] = val
-		return
-	}
-	s.mu.Lock()
-	s.words[w] = val
-	s.mu.Unlock()
-}
+func (v *ValueStore) Write(addr, val uint64) { v.words[addr>>3] = val }
 
 // System wires per-core cache controllers, directory slices and memory
 // controllers over a network, and exposes the core-facing Access API.
@@ -92,9 +45,7 @@ type System struct {
 	mems   []*mem.Controller
 	dirAt  map[int]*DirSlice       // core -> slice located there
 	memAt  map[int]*mem.Controller // core -> controller located there
-	d      *sim.Domain
-	stats  []Stats // one block per shard; Stats() merges
-	snap   Stats
+	stats  Stats
 	lineSz uint64
 }
 
@@ -124,48 +75,11 @@ func NewSystem(k *sim.Kernel, cfg *config.Config, net noc.Network) *System {
 		s.memAt[core] = s.mems[i]
 	}
 	net.SetDeliver(s.onDeliver)
-	s.Partition(sim.SerialDomain(k, cfg.Cores))
 	return s
 }
 
-// Partition (re)binds the coherence layer onto a shard domain: each cache
-// controller, directory slice, and memory controller schedules on (and
-// counts into) the shard owning its host core, and the value store turns
-// on stripe locking when more than one shard may touch it. The network
-// must already be partitioned onto the same domain.
-func (s *System) Partition(d *sim.Domain) {
-	s.d = d
-	s.K = d.ShardK(0)
-	s.stats = make([]Stats, d.NumShards())
-	s.Vals.SetShared(d.NumShards() > 1)
-	for i, c := range s.ctrls {
-		c.k = d.K(i)
-		c.st = &s.stats[d.Shard(i)]
-	}
-	for _, dir := range s.dirs {
-		dir.st = &s.stats[d.Shard(dir.core)]
-	}
-	for _, mc := range s.mems {
-		mc.K = d.K(mc.Core)
-	}
-}
-
-// Stats returns the protocol counter block. With one shard the live block
-// is returned; with several, a merged snapshot — valid at window barriers
-// and after the run.
-func (s *System) Stats() *Stats {
-	if len(s.stats) == 1 {
-		return &s.stats[0]
-	}
-	s.snap = Stats{}
-	for i := range s.stats {
-		s.snap.MergeFrom(&s.stats[i])
-	}
-	return &s.snap
-}
-
-// statsAt returns the statistics block of the shard owning core c.
-func (s *System) statsAt(c int) *Stats { return &s.stats[s.d.Shard(c)] }
+// Stats returns the live protocol counter block.
+func (s *System) Stats() *Stats { return &s.stats }
 
 // LineOf returns the cache line index of a byte address.
 func (s *System) LineOf(addr uint64) uint64 { return addr / s.lineSz }
@@ -272,9 +186,7 @@ func (s *System) Quiesced() bool {
 // trace records one protocol event when tracing is enabled. The ring is
 // stamped from the kernel clock it binds on first use, the same sim.Time
 // source the metrics layer samples — so trace entries and metric epochs
-// can never disagree on ordering. (Tracing binds shard 0's clock, which is
-// only globally meaningful on a serial engine; the system layer falls back
-// to serial execution whenever a tracer is attached.)
+// can never disagree on ordering.
 func (s *System) trace(kind, format string, args ...any) {
 	if s.Tracer != nil {
 		s.Tracer.BindClock(s.K)
@@ -319,12 +231,12 @@ func (s *System) onDeliver(dst int, nm *noc.Message) {
 		mc := s.memAt[dst]
 		line, slice, from := m.Line, m.Slice, m.From
 		mc.Read(func() {
-			s.statsAt(dst).MemReads++
+			s.stats.MemReads++
 			s.send(mc.Core, from, &Msg{Type: MsgMemRsp, Line: line, From: mc.Core, Slice: slice})
 		})
 	case MsgMemWrite:
 		s.memAt[dst].Write()
-		s.statsAt(dst).MemWrites++
+		s.stats.MemWrites++
 	case MsgInvBcast:
 		s.ctrls[dst].handleBcast(m)
 	default:

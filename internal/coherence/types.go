@@ -12,10 +12,7 @@
 // a coherent cached copy, while keeping the simulator lean.
 package coherence
 
-import (
-	"fmt"
-	"reflect"
-)
+import "fmt"
 
 // State is a cache line's MSI coherence state.
 type State uint8
@@ -167,15 +164,4 @@ type Stats struct {
 	ReorderBufferedUni     uint64 // unicasts buffered behind missing broadcasts
 	ReorderBufferedBcast   uint64 // broadcasts buffered behind outstanding ShReq
 	AcksCollected          uint64
-}
-
-// MergeFrom folds o's counters into s. Every field is an additive event
-// count; reflection keeps the merge exhaustive as fields are added (the
-// per-shard statistics blocks of a partitioned run merge through this).
-func (s *Stats) MergeFrom(o *Stats) {
-	sv := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		sv.Field(i).SetUint(sv.Field(i).Uint() + ov.Field(i).Uint())
-	}
 }

@@ -57,14 +57,11 @@ type Runner struct {
 	// Jobs caps concurrent simulations in RunAll/Prefetch. Zero means
 	// DefaultJobs() (REPRO_JOBS env, else GOMAXPROCS). One runs serially.
 	Jobs int
-	// Shards partitions each fresh simulation onto the parallel PDES
-	// engine with that many per-cluster-slab event queues (rounded down to
-	// a feasible count per config — see system.EffectiveShards). The
-	// sharded engine is bit-identical to the serial kernel, so Shards is
-	// deliberately absent from the run key and the persistent cache key:
-	// sharded and serial campaigns share cache entries. Zero means
-	// DefaultShards() (REPRO_SHARDS env, else 1 = serial). Synthetic
-	// network-only runs ignore it and stay serial (see runSynthetic).
+	// Shards is read by nothing; it remains so that callers which still
+	// assign it compile.
+	//
+	// Deprecated: every simulation runs on the one serial kernel;
+	// parallelism is across runs (Jobs).
 	Shards int
 	// Cache, if non-nil, persists results on disk across processes.
 	Cache *Cache
@@ -189,25 +186,6 @@ func (r *Runner) jobs() int {
 		return r.Jobs
 	}
 	return DefaultJobs()
-}
-
-// DefaultShards returns the campaign-wide PDES shard-count default: the
-// REPRO_SHARDS environment variable when set to a positive integer, else
-// 1 (serial execution).
-func DefaultShards() int {
-	if v := os.Getenv("REPRO_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-func (r *Runner) shards() int {
-	if r.Shards > 0 {
-		return r.Shards
-	}
-	return DefaultShards()
 }
 
 // apps returns the benchmark set this campaign covers.
@@ -551,27 +529,7 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench string, 
 	if r.EpochCycles > 0 && r.Events != nil {
 		return r.runObserved(ctx, cfg, bench)
 	}
-	if n := r.shards(); n > 1 {
-		return r.runSharded(ctx, cfg, bench, n)
-	}
 	return system.RunBenchmarkContext(ctx, cfg, bench, r.Opt.Scale, r.Opt.Horizon)
-}
-
-// runSharded is the fresh-simulation path on the parallel PDES engine:
-// system.RunBenchmarkContext with the machine partitioned onto n shards.
-// The engine replays the serial event order bit for bit (the cross-engine
-// parity tests pin this), so the result — and the cache entry it files
-// under — is the same bytes either way; only wall-clock time differs.
-func (r *Runner) runSharded(ctx context.Context, cfg config.Config, bench string, n int) (system.Result, error) {
-	spec, err := system.WorkloadFor(cfg, bench, r.Opt.Scale)
-	if err != nil {
-		return system.Result{}, err
-	}
-	sys, err := system.NewSharded(cfg, n)
-	if err != nil {
-		return system.Result{}, err
-	}
-	return sys.RunContext(ctx, spec, r.Opt.Horizon)
 }
 
 // progress emits one serialized, labelled progress line. When the

@@ -73,45 +73,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedCampaignMatchesSerial pins the campaign-level contract of
-// the sharded PDES engine: a Runner with Shards set produces bit-identical
-// memoized results to a serial Runner for the same run-set, under the same
-// run keys — which is what lets sharded and serial campaigns share
-// persistent cache entries (Shards is not part of any key).
-func TestShardedCampaignMatchesSerial(t *testing.T) {
-	serial := testCampaignRunner()
-	sharded := testCampaignRunner()
-	sharded.Shards = 2
-
-	for _, r := range []*Runner{serial, sharded} {
-		r.Prefetch(r.FigureRuns("4"))
-	}
-	rs, rp := serial.Results(), sharded.Results()
-	if len(rs) == 0 || len(rs) != len(rp) {
-		t.Fatalf("result sets differ in size: serial %d, sharded %d", len(rs), len(rp))
-	}
-	for k, v := range rs {
-		pv, ok := rp[k]
-		if !ok {
-			t.Errorf("run %q missing from sharded results", k)
-			continue
-		}
-		if !reflect.DeepEqual(v, pv) {
-			t.Errorf("run %q: sharded result differs from serial\nserial:  %+v\nsharded: %+v", k, v, pv)
-		}
-	}
-	// Same persistent identity: the cache key — and so the cache file a
-	// result lands in — must not depend on the engine.
-	cfg := serial.Opt.Config(config.ATACPlus)
-	if sk, pk := serial.RunHash(cfg, "radix"), sharded.RunHash(cfg, "radix"); sk != pk {
-		t.Errorf("run hash depends on Shards: serial %s, sharded %s", sk, pk)
-	}
-	// The manifest records the shard count for attribution.
-	if p := sharded.Provenance([]string{"4"}, 0); p.Shards != 2 {
-		t.Errorf("provenance Shards = %d, want 2", p.Shards)
-	}
-}
-
 // TestSingleflight checks that concurrent requests for the same run share
 // one simulation.
 func TestSingleflight(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 // as defaults; Open applies them to a new Runner.
 type RunnerFlags struct {
 	Jobs          int
-	Shards        int
 	CacheDir      string
 	NoCache       bool
 	CacheMaxBytes int64
@@ -30,11 +29,10 @@ func DefaultRunnerFlags() RunnerFlags {
 	return RunnerFlags{Retries: 2, Grace: 15 * time.Second}
 }
 
-// Register declares -jobs -shards -cache-dir -no-cache -cache-max-bytes
+// Register declares -jobs -cache-dir -no-cache -cache-max-bytes
 // -run-timeout -retries -grace on fs.
 func (f *RunnerFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Jobs, "jobs", f.Jobs, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-	fs.IntVar(&f.Shards, "shards", f.Shards, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way; synthetic runs are always serial)")
 	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")
 	fs.BoolVar(&f.NoCache, "no-cache", f.NoCache, "disable the persistent result cache")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", f.CacheMaxBytes, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
@@ -53,7 +51,7 @@ func (f *RunnerFlags) Register(fs *flag.FlagSet) {
 // the journal; call it when the campaign is over.
 func (f *RunnerFlags) Open(o Options) (*Runner, func(), error) {
 	r := NewRunner(o)
-	r.Jobs, r.Shards = f.Jobs, f.Shards
+	r.Jobs = f.Jobs
 	r.Retries, r.RunTimeout = f.Retries, f.RunTimeout
 	r.RecallFailures = true
 	r.Cache = nil

@@ -13,7 +13,7 @@ func TestRunnerFlagsRegisterAndOpen(t *testing.T) {
 	f := DefaultRunnerFlags()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f.Register(fs)
-	err := fs.Parse([]string{"-jobs", "3", "-shards", "2", "-cache-dir", dir,
+	err := fs.Parse([]string{"-jobs", "3", "-cache-dir", dir,
 		"-cache-max-bytes", "4096", "-run-timeout", "1m", "-retries", "5", "-grace", "7s"})
 	if err != nil {
 		t.Fatal(err)
@@ -23,9 +23,9 @@ func TestRunnerFlagsRegisterAndOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeRunner()
-	if r.Jobs != 3 || r.Shards != 2 || r.Retries != 5 || r.RunTimeout != time.Minute || !r.RecallFailures {
-		t.Errorf("runner knobs not applied: jobs %d shards %d retries %d timeout %v recall %v",
-			r.Jobs, r.Shards, r.Retries, r.RunTimeout, r.RecallFailures)
+	if r.Jobs != 3 || r.Retries != 5 || r.RunTimeout != time.Minute || !r.RecallFailures {
+		t.Errorf("runner knobs not applied: jobs %d retries %d timeout %v recall %v",
+			r.Jobs, r.Retries, r.RunTimeout, r.RecallFailures)
 	}
 	if f.Grace != 7*time.Second {
 		t.Errorf("grace %v", f.Grace)

@@ -74,15 +74,13 @@ func (r *Runner) RunHash(cfg config.Config, bench string) string {
 // built explicitly so a metrics collector can be attached, and each
 // closed epoch fans out as a PhaseEpoch event. Chunked kernel execution
 // is provably non-perturbing (see system.runKernel), so results are
-// bit-identical to the unobserved path. Sharding composes: epochs are
-// sampled at engine barriers (no shard is running while the collector
-// reads), and the collector stamps time from the engine's global clock.
+// bit-identical to the unobserved path.
 func (r *Runner) runObserved(ctx context.Context, cfg config.Config, bench string) (system.Result, error) {
 	spec, err := system.WorkloadFor(cfg, bench, r.Opt.Scale)
 	if err != nil {
 		return system.Result{}, err
 	}
-	sys, err := system.NewSharded(cfg, r.shards())
+	sys, err := system.New(cfg)
 	if err != nil {
 		return system.Result{}, err
 	}

@@ -58,12 +58,8 @@ type Provenance struct {
 
 	WallSeconds float64 `json:"wall_seconds"`
 	Jobs        int     `json:"jobs"`
-	// Shards is the PDES shard count fresh simulations requested. It is
-	// recorded for attribution only and is absent from RunSetHash and the
-	// cache keys: sharded and serial runs are bit-identical.
-	Shards      int    `json:"shards"`
-	GitDescribe string `json:"git_describe,omitempty"`
-	GoVersion   string `json:"go_version"`
+	GitDescribe string  `json:"git_describe,omitempty"`
+	GoVersion   string  `json:"go_version"`
 	// CacheSchema is the result-cache schema stamp this build enforces
 	// (internal/version), so a manifest records which cache generation its
 	// recalled results came from.
@@ -111,7 +107,6 @@ func (r *Runner) Provenance(figures []string, wall time.Duration) Provenance {
 		Interrupted:      r.Interrupted(),
 		WallSeconds:      wall.Seconds(),
 		Jobs:             r.jobs(),
-		Shards:           r.shards(),
 		GitDescribe:      GitDescribe(),
 		GoVersion:        runtime.Version(),
 		CacheSchema:      version.CacheSchema,

@@ -133,12 +133,6 @@ func (o Options) SchemeConfig(sch RoutingScheme) config.Config {
 // the measurement into a Result whose Synth section carries the latency
 // distribution. Deterministic for a given (config, spec), so it is as
 // cacheable as an application run.
-//
-// Synthetic runs ignore Runner.Shards and always use the serial kernel:
-// the injector draws destinations from one global RNG stream whose draw
-// order is a cross-shard total order no conservative window schedule can
-// reproduce (the same reason fault-injected configs refuse to shard),
-// and the bare fabric is cheap enough that parallelism buys nothing.
 func runSynthetic(cfg config.Config, bench string, sp SynthSpec) (system.Result, error) {
 	p, err := traffic.ByName(sp.Pattern, cfg.MeshDim(), sp.BcastFrac)
 	if err != nil {

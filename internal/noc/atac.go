@@ -31,40 +31,29 @@ type Atac struct {
 	enet    *Mesh
 	hubs    []*hub
 	deliver DeliverFunc
-	d       *sim.Domain
-	stats   []Stats // one block per shard; Stats() merges
-	snap    Stats
+	stats   Stats
 	// pendingTX[cluster] counts messages committed to that cluster's
 	// optical channel but not yet transmitted (the token counter the
-	// adaptive routing policy consults). Sharding keeps this unsynchro-
-	// nized: shards are unions of whole clusters, so a cluster's cores,
-	// its hub, and therefore every reader and writer of its counter live
-	// on one shard.
+	// adaptive routing policy consults).
 	pendingTX []int
 
 	// Per-pair FIFO restoration for adaptive routing: once the path of a
 	// (src,dst) pair can vary per message, the coherence protocol's
 	// same-pair ordering assumption must be enforced at the receiving
-	// NIC (a small reorder CAM in hardware). Unused (nil) for the
-	// oblivious policies, whose fixed paths are FIFO by construction.
-	// pairNext is consulted at the sender (indexed by the source's
-	// shard); pairWant/pairHeld at the receiving NIC (indexed by the
-	// destination's shard) — each map is touched by exactly one shard.
-	pairFIFO bool
-	pairNext []map[pairKey]uint64
-	pairWant []map[pairKey]uint64
-	pairHeld []map[pairKey]map[uint64]*Message
+	// NIC (a small reorder CAM in hardware). Nil for the oblivious
+	// policies, whose fixed paths are FIFO by construction.
+	pairs *pairOrder
 
-	// outstanding counts in-flight optical/receive-net jobs per shard
-	// (test hook; Drained sums).
-	outstanding []int
+	// outstanding counts in-flight optical/receive-net jobs (test hook
+	// for Drained).
+	outstanding int
 
 	inj *fault.Injector    // nil = perfect interconnect
 	lat *metrics.Histogram // nil = latency histogram disabled
 }
 
 // NewAtac builds the fabric from a validated config with an optical
-// network kind, on a single kernel (a one-shard domain).
+// network kind, on kernel k.
 func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	if !cfg.Network.Kind.IsOptical() {
 		panic(fmt.Sprintf("noc: NewAtac called for %v", cfg.Network.Kind))
@@ -80,58 +69,16 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	// where channel degradation reroutes optical unicasts onto the ENet
 	// mid-run (optical retransmission itself is stop-and-wait and cannot
 	// reorder, but the optical->electrical switch can).
-	a.pairFIFO = cfg.Network.Routing == config.AdaptiveRouting || cfg.Fault.Enabled
+	if cfg.Network.Routing == config.AdaptiveRouting || cfg.Fault.Enabled {
+		a.pairs = newPairOrder(a.deliverNow)
+	}
 	a.hubs = make([]*hub, cfg.Clusters())
 	for i := range a.hubs {
 		h := &hub{a: a, cluster: i}
 		h.rxFree = make([]sim.Time, n.StarNetsPerCl)
 		a.hubs[i] = h
 	}
-	a.Partition(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
 	return a
-}
-
-// Partition (re)binds the fabric onto a shard domain: the ENet mesh is
-// partitioned tile by tile, each hub joins the shard owning its cluster's
-// cores, and the statistics / FIFO-restoration / outstanding state is
-// split per shard. The domain must keep every cluster within one shard
-// (the system layer's cluster-row slabs do); hub->hub optical deliveries
-// are the only cross-shard edges and must be no faster than the
-// engine's lookahead, which Partition validates.
-func (a *Atac) Partition(d *sim.Domain) {
-	a.d = d
-	a.K = d.ShardK(0)
-	a.enet.Partition(d)
-	a.stats = make([]Stats, d.NumShards())
-	a.outstanding = make([]int, d.NumShards())
-	if a.pairFIFO {
-		a.pairNext = make([]map[pairKey]uint64, d.NumShards())
-		a.pairWant = make([]map[pairKey]uint64, d.NumShards())
-		a.pairHeld = make([]map[pairKey]map[uint64]*Message, d.NumShards())
-		for i := 0; i < d.NumShards(); i++ {
-			a.pairNext[i] = make(map[pairKey]uint64)
-			a.pairWant[i] = make(map[pairKey]uint64)
-			a.pairHeld[i] = make(map[pairKey]map[uint64]*Message)
-		}
-	}
-	for _, h := range a.hubs {
-		hubCore := a.Cfg.HubCore(h.cluster)
-		h.k = d.K(hubCore)
-		h.sh = d.Shard(hubCore)
-		h.st = &a.stats[h.sh]
-		for _, c := range h.clusterBaseCores() {
-			if d.Shard(c) != h.sh {
-				panic(fmt.Sprintf("noc: cluster %d split across shards (core %d on %d, hub on %d)",
-					h.cluster, c, d.Shard(c), h.sh))
-			}
-		}
-	}
-	if sh := d.Sharded(); sh != nil && d.NumShards() > 1 {
-		minHop := sim.Time(a.Cfg.Network.SelectDataLag + 1 + a.Cfg.Network.ONetLinkDelay)
-		if minHop < sh.Lookahead() {
-			panic(fmt.Sprintf("noc: ONet hub-to-hub latency %d below engine lookahead %d", minHop, sh.Lookahead()))
-		}
-	}
 }
 
 // SetDeliver implements Network.
@@ -147,19 +94,9 @@ func (a *Atac) SetFaults(inj *fault.Injector) {
 }
 
 // Stats implements Network; ENet flit counters are folded in on read.
-// With one shard the live block is returned (counters keep moving through
-// the pointer); with several, a merged snapshot — valid at window barriers
-// and after the run, where the engine orders all shard writes before us.
 func (a *Atac) Stats() *Stats {
 	ms := a.enet.Stats()
-	s := &a.stats[0]
-	if len(a.stats) > 1 {
-		a.snap = Stats{}
-		for i := range a.stats {
-			a.snap.MergeFrom(&a.stats[i])
-		}
-		s = &a.snap
-	}
+	s := &a.stats
 	s.MeshLinkFlits = ms.MeshLinkFlits
 	s.MeshRouterFlits = ms.MeshRouterFlits
 	s.MeshFlitErrors = ms.MeshFlitErrors
@@ -168,9 +105,6 @@ func (a *Atac) Stats() *Stats {
 	s.MeshRetriesExhausted = ms.MeshRetriesExhausted
 	return s
 }
-
-// statsAt returns the statistics block of the shard owning core c.
-func (a *Atac) statsAt(c int) *Stats { return &a.stats[a.d.Shard(c)] }
 
 // DegradedClusters lists the clusters whose optical channel has been
 // declared degraded (observability hook).
@@ -207,10 +141,8 @@ func (a *Atac) Drained() bool {
 	if !a.enet.Drained() {
 		return false
 	}
-	for _, o := range a.outstanding {
-		if o != 0 {
-			return false
-		}
+	if a.outstanding != 0 {
+		return false
 	}
 	for _, h := range a.hubs {
 		if h.txBusy || len(h.txq) > 0 {
@@ -220,13 +152,10 @@ func (a *Atac) Drained() bool {
 	return true
 }
 
-// Send implements Network. It runs on the shard owning m.Src (senders
-// inject from their own tile's events), so the source-side bookkeeping —
-// statistics, pair sequencing, the pendingTX token — is shard-local.
+// Send implements Network.
 func (a *Atac) Send(m *Message) {
-	sk := a.d.K(m.Src)
-	st := a.statsAt(m.Src)
-	m.Inject = sk.Now()
+	st := &a.stats
+	m.Inject = a.K.Now()
 	n := FlitsFor(m.Bits, a.Cfg.Network.FlitBits)
 	st.InjectedFlits += uint64(n)
 	if m.Dst == BroadcastDst {
@@ -235,14 +164,11 @@ func (a *Atac) Send(m *Message) {
 		return
 	}
 	st.UnicastSent++
-	if a.pairFIFO {
-		next := a.pairNext[a.d.Shard(m.Src)]
-		k := pairKey{m.Src, m.Dst}
-		m.pairSeq = next[k] + 1 // 1-based; 0 means unsequenced
-		next[k] = m.pairSeq
+	if a.pairs != nil {
+		a.pairs.stamp(m)
 	}
 	if m.Dst == m.Src {
-		sk.Schedule(1, func() { a.deliverCore(m.Dst, m) })
+		a.K.Schedule(1, func() { a.deliverCore(m.Dst, m) })
 		return
 	}
 	srcCl, dstCl := a.Cfg.ClusterOf(m.Src), a.Cfg.ClusterOf(m.Dst)
@@ -281,15 +207,13 @@ func (a *Atac) Send(m *Message) {
 }
 
 // sendViaHub routes m over the ENet to its cluster hub (unless the source
-// core hosts the hub) and enqueues it for optical transmission. The hub
-// shares the source core's shard (clusters are never split), so the direct
-// enqueue and the pendingTX increment stay shard-local.
+// core hosts the hub) and enqueues it for optical transmission.
 func (a *Atac) sendViaHub(m *Message) {
 	cl := a.Cfg.ClusterOf(m.Src)
 	a.pendingTX[cl]++
 	hubCore := a.Cfg.HubCore(cl)
 	if m.Src == hubCore {
-		a.d.K(m.Src).Schedule(1, func() { a.hubs[cl].enqueueTX(m) })
+		a.K.Schedule(1, func() { a.hubs[cl].enqueueTX(m) })
 		return
 	}
 	wrap := &Message{Src: m.Src, Dst: hubCore, Bits: m.Bits, Payload: m, viaHub: true, Inject: m.Inject}
@@ -307,47 +231,18 @@ func (a *Atac) enetDeliver(dst int, m *Message) {
 	a.deliverCore(dst, m)
 }
 
-// deliverCore runs on the shard owning dst (every path that reaches it —
-// self-delivery, ENet ejection, hub receive fan-out — executes there), so
-// the reorder CAM state is indexed by dst's shard without synchronization.
+// deliverCore hands m to core dst, through the reorder CAM when armed.
 func (a *Atac) deliverCore(dst int, m *Message) {
-	// Restore per-pair FIFO order under adaptive routing.
-	if a.pairFIFO && m.pairSeq != 0 {
-		sh := a.d.Shard(dst)
-		pairWant, pairHeld := a.pairWant[sh], a.pairHeld[sh]
-		k := pairKey{m.Src, m.Dst}
-		want := pairWant[k] + 1
-		if m.pairSeq != want {
-			held := pairHeld[k]
-			if held == nil {
-				held = make(map[uint64]*Message)
-				pairHeld[k] = held
-			}
-			held[m.pairSeq] = m
-			return
-		}
-		pairWant[k] = want
-		a.deliverNow(dst, m)
-		// Drain any consecutively held successors.
-		for {
-			held := pairHeld[k]
-			next, ok := held[pairWant[k]+1]
-			if !ok {
-				return
-			}
-			delete(held, pairWant[k]+1)
-			pairWant[k]++
-			a.deliverNow(dst, next)
-		}
+	if a.pairs != nil && m.pairSeq != 0 {
+		a.pairs.receive(dst, m)
+		return
 	}
 	a.deliverNow(dst, m)
 }
 
-type pairKey struct{ src, dst int }
-
 func (a *Atac) deliverNow(dst int, m *Message) {
-	st := a.statsAt(dst)
-	now := a.d.K(dst).Now()
+	st := &a.stats
+	now := a.K.Now()
 	st.Delivered++
 	if m.IsBroadcast() {
 		st.BroadcastRecv++
@@ -368,9 +263,6 @@ func (a *Atac) deliverNow(dst int, m *Message) {
 type hub struct {
 	a       *Atac
 	cluster int
-	k       *sim.Kernel // kernel of the shard owning this cluster
-	sh      int
-	st      *Stats // that shard's statistics block
 
 	txq    []*Message
 	txBusy bool
@@ -400,7 +292,7 @@ type hub struct {
 
 func (h *hub) enqueueTX(m *Message) {
 	n := FlitsFor(m.Bits, h.a.Cfg.Network.FlitBits)
-	h.st.HubFlits += uint64(n)
+	h.a.stats.HubFlits += uint64(n)
 	h.txq = append(h.txq, m)
 	if !h.txBusy {
 		h.startTX()
@@ -446,12 +338,12 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		per := sim.Time(lag + n)
 		busy = per * sim.Time(len(retxTo))
 		h.busyCycles += uint64(busy)
-		h.st.SelectEvents += uint64(len(retxTo))
-		h.st.ONetUniPkts += uint64(len(retxTo))
-		h.st.ONetUniFlits += uint64(len(retxTo) * n)
-		h.st.LaserUniCycles += uint64(len(retxTo) * n)
-		h.st.OpticalRetxPkts += uint64(len(retxTo))
-		h.st.OpticalRetxFlits += uint64(len(retxTo) * n)
+		h.a.stats.SelectEvents += uint64(len(retxTo))
+		h.a.stats.ONetUniPkts += uint64(len(retxTo))
+		h.a.stats.ONetUniFlits += uint64(len(retxTo) * n)
+		h.a.stats.LaserUniCycles += uint64(len(retxTo) * n)
+		h.a.stats.OpticalRetxPkts += uint64(len(retxTo))
+		h.a.stats.OpticalRetxFlits += uint64(len(retxTo) * n)
 		for i, cl := range retxTo {
 			rx := h.a.hubs[cl]
 			arrive := sim.Time(i)*per + sim.Time(lag+1+oDelay)
@@ -459,7 +351,7 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 				failed = append(failed, cl)
 				continue
 			}
-			h.sendRX(rx, h.k.Now()+arrive, m, n)
+			rx.scheduleRX(h.a.K.Now()+arrive, m, n, h.cluster)
 		}
 	case m.Dst == BroadcastDst && cfg.Network.BcastAsUnicast:
 		// Section V-D ablation: no native broadcast support on the
@@ -467,10 +359,10 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		// transmission per hub, each with its own select notification;
 		// receiving hubs still fan the copy out to their whole cluster.
 		hubs := len(h.a.hubs)
-		h.st.SelectEvents += uint64(hubs)
-		h.st.ONetUniPkts += uint64(hubs)
-		h.st.ONetUniFlits += uint64(hubs * n)
-		h.st.LaserUniCycles += uint64(hubs * n)
+		h.a.stats.SelectEvents += uint64(hubs)
+		h.a.stats.ONetUniPkts += uint64(hubs)
+		h.a.stats.ONetUniFlits += uint64(hubs * n)
+		h.a.stats.LaserUniCycles += uint64(hubs * n)
 		h.uniSinceLast = 0
 		per := sim.Time(lag + n)
 		busy = per * sim.Time(hubs)
@@ -484,13 +376,13 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 				failed = append(failed, rx.cluster)
 				continue
 			}
-			h.sendRX(rx, h.k.Now()+arrive, m, n)
+			rx.scheduleRX(h.a.K.Now()+arrive, m, n, h.cluster)
 		}
 	case m.Dst == BroadcastDst:
-		h.st.SelectEvents++
-		h.st.ONetBcastPkts++
-		h.st.ONetBcastFlits += uint64(n)
-		h.st.LaserBcastCycles += uint64(n)
+		h.a.stats.SelectEvents++
+		h.a.stats.ONetBcastPkts++
+		h.a.stats.ONetBcastFlits += uint64(n)
+		h.a.stats.LaserBcastCycles += uint64(n)
 		h.uniSinceLast = 0
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
@@ -505,13 +397,13 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 				failed = append(failed, rx.cluster)
 				continue
 			}
-			h.sendRX(rx, h.k.Now()+arrive, m, n)
+			rx.scheduleRX(h.a.K.Now()+arrive, m, n, h.cluster)
 		}
 	default:
-		h.st.SelectEvents++
-		h.st.ONetUniPkts++
-		h.st.ONetUniFlits += uint64(n)
-		h.st.LaserUniCycles += uint64(n)
+		h.a.stats.SelectEvents++
+		h.a.stats.ONetUniPkts++
+		h.a.stats.ONetUniFlits += uint64(n)
+		h.a.stats.LaserUniCycles += uint64(n)
 		h.uniSinceLast++
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
@@ -519,16 +411,16 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		if h.corrupted(rx, n, forced) {
 			failed = append(failed, rx.cluster)
 		} else {
-			h.sendRX(rx, h.k.Now()+sim.Time(lag+1+oDelay), m, n)
+			rx.scheduleRX(h.a.K.Now()+sim.Time(lag+1+oDelay), m, n, h.cluster)
 		}
 	}
 
-	h.k.Schedule(busy, func() {
+	h.a.K.Schedule(busy, func() {
 		if len(failed) > 0 {
 			// NACKed receivers remain: hold the channel through the
 			// backoff and retransmit to the failed subset only.
 			m.retx++
-			h.k.Schedule(h.a.inj.Backoff(int(m.retx)), func() {
+			h.a.K.Schedule(h.a.inj.Backoff(int(m.retx)), func() {
 				h.transmit(m, failed)
 			})
 			return
@@ -539,20 +431,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 			h.startTX()
 		}
 	})
-}
-
-// sendRX books an optical arrival on the receiving hub at absolute time
-// 'at'. A same-shard receiver is booked directly; a remote one through a
-// cross-shard post, which is safe because 'at' (≥ SelectDataLag + 1 +
-// ONetLinkDelay ahead, validated at Partition time) lands beyond the
-// engine's current synchronization window.
-func (h *hub) sendRX(rx *hub, at sim.Time, m *Message, n int) {
-	if rx.sh == h.sh {
-		rx.scheduleRX(at, m, n, h.cluster)
-		return
-	}
-	cl := h.cluster
-	h.a.d.Post(h.sh, rx.sh, func() { rx.scheduleRX(at, m, n, cl) })
 }
 
 // corrupted draws the per-flit optical errors one receiving hub would see
@@ -570,16 +448,16 @@ func (h *hub) corrupted(rx *hub, n int, forced bool) bool {
 			errs++
 		}
 	}
-	h.st.OpticalFlitErrors += uint64(errs)
+	h.a.stats.OpticalFlitErrors += uint64(errs)
 	h.observe(n, errs)
 	if errs == 0 {
 		return false
 	}
 	if forced {
-		h.st.OpticalRetriesExhausted++
+		h.a.stats.OpticalRetriesExhausted++
 		return false
 	}
-	h.st.OpticalNacks++
+	h.a.stats.OpticalNacks++
 	return true
 }
 
@@ -599,31 +477,28 @@ func (h *hub) observe(flits, errs int) {
 	}
 	if float64(h.winErrs)/float64(h.winFlits) > inj.DegradeThreshold() {
 		h.degraded = true
-		h.st.DegradedChannels++
+		h.a.stats.DegradedChannels++
 	}
 	h.winFlits, h.winErrs = 0, 0
 }
 
 // scheduleRX stages the message for receive-network booking once its head
-// flit arrives at 'arrive'. Runs (and schedules) on the receiving hub's
-// shard. Same-cycle arrivals from several sender hubs are collected and
-// drained in one event in sender-cluster order: the greedy earliest-free
-// receive-network assignment depends on processing order, and the order
-// same-cycle events execute in is the one schedule-order artifact a
-// partitioned engine cannot reproduce — a canonical drain makes it
-// irrelevant on both engines. Every booking strictly precedes its arrival
-// cycle (arrive ≥ now+2 locally, and cross-shard posts apply at the
-// barrier before the window containing 'arrive'), so the stage is always
+// flit arrives at 'arrive'. Same-cycle arrivals from several sender hubs
+// are collected and drained in one event in sender-cluster order: the
+// greedy earliest-free receive-network assignment depends on processing
+// order, and a canonical drain keeps it from depending on where sender
+// events happen to sit in the cycle's bucket. Every booking strictly
+// precedes its arrival cycle (arrive ≥ now+2), so the stage is always
 // complete when the drain runs.
 func (h *hub) scheduleRX(arrive sim.Time, m *Message, n int, from int) {
-	h.a.outstanding[h.sh]++
+	h.a.outstanding++
 	if h.rxStage == nil {
 		h.rxStage = make(map[sim.Time][]rxJob)
 	}
 	jobs := h.rxStage[arrive]
 	h.rxStage[arrive] = append(jobs, rxJob{from, m, n})
 	if len(jobs) == 0 {
-		h.k.At(arrive, func() { h.drainRX(arrive) })
+		h.a.K.At(arrive, func() { h.drainRX(arrive) })
 	}
 }
 
@@ -643,7 +518,7 @@ func (h *hub) drainRX(at sim.Time) {
 	delete(h.rxStage, at)
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].srcCl < jobs[j].srcCl })
 	for _, j := range jobs {
-		h.a.outstanding[h.sh]--
+		h.a.outstanding--
 		h.receive(j.m, j.n)
 	}
 }
@@ -651,7 +526,7 @@ func (h *hub) drainRX(at sim.Time) {
 // receive distributes an optical arrival over the receive network.
 func (h *hub) receive(m *Message, n int) {
 	cfg := h.a.Cfg
-	h.st.HubFlits += uint64(n)
+	h.a.stats.HubFlits += uint64(n)
 
 	// Pick the earliest-free receive network (FIFO service).
 	best := 0
@@ -661,7 +536,7 @@ func (h *hub) receive(m *Message, n int) {
 		}
 	}
 	start := h.rxFree[best]
-	if now := h.k.Now(); start < now {
+	if now := h.a.K.Now(); start < now {
 		start = now
 	}
 	h.rxFree[best] = start + sim.Time(n)
@@ -674,16 +549,16 @@ func (h *hub) receive(m *Message, n int) {
 	bcast := m.Dst == BroadcastDst
 	if cfg.Network.ReceiveNet == config.BNet {
 		// The fan-out tree always drives every core.
-		h.st.BNetFlits += uint64(n)
+		h.a.stats.BNetFlits += uint64(n)
 	} else if bcast {
-		h.st.StarBcastFlits += uint64(n)
+		h.a.stats.StarBcastFlits += uint64(n)
 	} else {
-		h.st.StarUniFlits += uint64(n)
+		h.a.stats.StarUniFlits += uint64(n)
 	}
 
-	h.a.outstanding[h.sh]++
-	h.k.At(done, func() {
-		h.a.outstanding[h.sh]--
+	h.a.outstanding++
+	h.a.K.At(done, func() {
+		h.a.outstanding--
 		if bcast {
 			base := h.clusterBaseCores()
 			for _, c := range base {

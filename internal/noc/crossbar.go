@@ -30,10 +30,6 @@ import (
 // on the waveguide (queueing behind other writers plus the token's
 // serpentine travel), and every granted token is counted returned once the
 // transfer — including any fault-injected retransmissions — completes.
-//
-// The crossbar always runs on the serial kernel: a home channel is one
-// token-ordered resource shared by every cluster, which no conservative
-// spatial partition can cut. system.NewSharded falls back accordingly.
 type Crossbar struct {
 	K   *sim.Kernel
 	Cfg *config.Config

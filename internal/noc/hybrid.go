@@ -37,27 +37,23 @@ type Hybrid struct {
 	enet    *Mesh
 	gws     []*gateway
 	deliver DeliverFunc
-	d       *sim.Domain
-	stats   []Stats // one block per shard; Stats() merges
-	snap    Stats
+	stats   Stats
 
 	// Per-pair FIFO restoration (reorder CAM), needed only under fault
 	// injection: gateway degradation can flip a pair's path from express
-	// to mesh mid-run. Fault-free hybrid paths are fixed per pair.
-	pairFIFO bool
-	pairNext []map[pairKey]uint64
-	pairWant []map[pairKey]uint64
-	pairHeld []map[pairKey]map[uint64]*Message
+	// to mesh mid-run. Fault-free hybrid paths are fixed per pair, and
+	// pairs stays nil.
+	pairs *pairOrder
 
-	// outstanding counts in-flight express/delivery jobs per shard.
-	outstanding []int
+	// outstanding counts in-flight express/delivery jobs.
+	outstanding int
 
 	inj *fault.Injector
 	lat *metrics.Histogram
 }
 
-// NewHybrid builds the fabric from a validated HybridMesh config on a
-// single kernel (a one-shard domain).
+// NewHybrid builds the fabric from a validated HybridMesh config on
+// kernel k.
 func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 	if cfg.Network.Kind != config.HybridMesh {
 		panic(fmt.Sprintf("noc: NewHybrid called for %v", cfg.Network.Kind))
@@ -67,47 +63,14 @@ func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 	h.enet = NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, true)
 	h.enet.Transport = true
 	h.enet.SetDeliver(h.enetDeliver)
-	h.pairFIFO = cfg.Fault.Enabled
+	if cfg.Fault.Enabled {
+		h.pairs = newPairOrder(h.deliverNow)
+	}
 	h.gws = make([]*gateway, cfg.HybridGateways())
 	for i := range h.gws {
 		h.gws[i] = &gateway{h: h, idx: i, core: cfg.GatewayCore(i)}
 	}
-	h.Partition(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
 	return h
-}
-
-// Partition (re)binds the fabric onto a shard domain: the mesh is
-// partitioned tile by tile and each gateway joins the shard owning its
-// core. Gateway-to-gateway express deliveries are the only cross-shard
-// edges; their latency floor must cover the engine's lookahead, which
-// Partition validates.
-func (h *Hybrid) Partition(d *sim.Domain) {
-	h.d = d
-	h.K = d.ShardK(0)
-	h.enet.Partition(d)
-	h.stats = make([]Stats, d.NumShards())
-	h.outstanding = make([]int, d.NumShards())
-	if h.pairFIFO {
-		h.pairNext = make([]map[pairKey]uint64, d.NumShards())
-		h.pairWant = make([]map[pairKey]uint64, d.NumShards())
-		h.pairHeld = make([]map[pairKey]map[uint64]*Message, d.NumShards())
-		for i := 0; i < d.NumShards(); i++ {
-			h.pairNext[i] = make(map[pairKey]uint64)
-			h.pairWant[i] = make(map[pairKey]uint64)
-			h.pairHeld[i] = make(map[pairKey]map[uint64]*Message)
-		}
-	}
-	for _, g := range h.gws {
-		g.k = d.K(g.core)
-		g.sh = d.Shard(g.core)
-		g.st = &h.stats[g.sh]
-	}
-	if sh := d.Sharded(); sh != nil && d.NumShards() > 1 {
-		minHop := sim.Time(h.Cfg.Network.SelectDataLag + 1 + h.Cfg.Network.ONetLinkDelay)
-		if minHop < sh.Lookahead() {
-			panic(fmt.Sprintf("noc: express gateway latency %d below engine lookahead %d", minHop, sh.Lookahead()))
-		}
-	}
 }
 
 // SetDeliver implements Network.
@@ -127,14 +90,7 @@ func (h *Hybrid) SetLatencyHist(hist *metrics.Histogram) { h.lat = hist }
 // Stats implements Network; mesh flit counters are folded in on read.
 func (h *Hybrid) Stats() *Stats {
 	ms := h.enet.Stats()
-	s := &h.stats[0]
-	if len(h.stats) > 1 {
-		h.snap = Stats{}
-		for i := range h.stats {
-			h.snap.MergeFrom(&h.stats[i])
-		}
-		s = &h.snap
-	}
+	s := &h.stats
 	s.MeshLinkFlits = ms.MeshLinkFlits
 	s.MeshRouterFlits = ms.MeshRouterFlits
 	s.MeshFlitErrors = ms.MeshFlitErrors
@@ -143,9 +99,6 @@ func (h *Hybrid) Stats() *Stats {
 	s.MeshRetriesExhausted = ms.MeshRetriesExhausted
 	return s
 }
-
-// statsAt returns the statistics block of the shard owning core c.
-func (h *Hybrid) statsAt(c int) *Stats { return &h.stats[h.d.Shard(c)] }
 
 // ENet exposes the underlying electrical mesh.
 func (h *Hybrid) ENet() *Mesh { return h.enet }
@@ -167,10 +120,8 @@ func (h *Hybrid) Drained() bool {
 	if !h.enet.Drained() {
 		return false
 	}
-	for _, o := range h.outstanding {
-		if o != 0 {
-			return false
-		}
+	if h.outstanding != 0 {
+		return false
 	}
 	for _, g := range h.gws {
 		if g.txBusy || len(g.txq) > 0 {
@@ -180,11 +131,10 @@ func (h *Hybrid) Drained() bool {
 	return true
 }
 
-// Send implements Network. Runs on the shard owning m.Src.
+// Send implements Network.
 func (h *Hybrid) Send(m *Message) {
-	sk := h.d.K(m.Src)
-	st := h.statsAt(m.Src)
-	m.Inject = sk.Now()
+	st := &h.stats
+	m.Inject = h.K.Now()
 	n := FlitsFor(m.Bits, h.Cfg.Network.FlitBits)
 	st.InjectedFlits += uint64(n)
 	if m.Dst == BroadcastDst {
@@ -193,14 +143,11 @@ func (h *Hybrid) Send(m *Message) {
 		return
 	}
 	st.UnicastSent++
-	if h.pairFIFO {
-		next := h.pairNext[h.d.Shard(m.Src)]
-		k := pairKey{m.Src, m.Dst}
-		m.pairSeq = next[k] + 1
-		next[k] = m.pairSeq
+	if h.pairs != nil {
+		h.pairs.stamp(m)
 	}
 	if m.Dst == m.Src {
-		sk.Schedule(1, func() { h.deliverCore(m.Dst, m) })
+		h.K.Schedule(1, func() { h.deliverCore(m.Dst, m) })
 		return
 	}
 	srcGW, dstGW := h.Cfg.GatewayOf(m.Src), h.Cfg.GatewayOf(m.Dst)
@@ -226,7 +173,7 @@ func (h *Hybrid) Send(m *Message) {
 func (h *Hybrid) sendViaGateway(m *Message) {
 	g := h.gws[h.Cfg.GatewayOf(m.Src)]
 	if m.Src == g.core {
-		h.d.K(m.Src).Schedule(1, func() { g.enqueueTX(m) })
+		h.K.Schedule(1, func() { g.enqueueTX(m) })
 		return
 	}
 	wrap := &Message{Src: m.Src, Dst: g.core, Bits: m.Bits, Payload: m, viaHub: true, Inject: m.Inject}
@@ -251,42 +198,18 @@ func (h *Hybrid) enetDeliver(dst int, m *Message) {
 	h.deliverCore(dst, m)
 }
 
-// deliverCore runs on the shard owning dst; the reorder CAM state is
-// indexed by dst's shard without synchronization.
+// deliverCore hands m to core dst, through the reorder CAM when armed.
 func (h *Hybrid) deliverCore(dst int, m *Message) {
-	if h.pairFIFO && m.pairSeq != 0 {
-		sh := h.d.Shard(dst)
-		pairWant, pairHeld := h.pairWant[sh], h.pairHeld[sh]
-		k := pairKey{m.Src, m.Dst}
-		want := pairWant[k] + 1
-		if m.pairSeq != want {
-			held := pairHeld[k]
-			if held == nil {
-				held = make(map[uint64]*Message)
-				pairHeld[k] = held
-			}
-			held[m.pairSeq] = m
-			return
-		}
-		pairWant[k] = want
-		h.deliverNow(dst, m)
-		for {
-			held := pairHeld[k]
-			next, ok := held[pairWant[k]+1]
-			if !ok {
-				return
-			}
-			delete(held, pairWant[k]+1)
-			pairWant[k]++
-			h.deliverNow(dst, next)
-		}
+	if h.pairs != nil && m.pairSeq != 0 {
+		h.pairs.receive(dst, m)
+		return
 	}
 	h.deliverNow(dst, m)
 }
 
 func (h *Hybrid) deliverNow(dst int, m *Message) {
-	st := h.statsAt(dst)
-	now := h.d.K(dst).Now()
+	st := &h.stats
+	now := h.K.Now()
 	st.Delivered++
 	if m.IsBroadcast() {
 		st.BroadcastRecv++
@@ -307,17 +230,13 @@ type gateway struct {
 	h    *Hybrid
 	idx  int
 	core int
-	k    *sim.Kernel
-	sh   int
-	st   *Stats
 
 	txq    []*Message
 	txBusy bool
 
 	// rxStage collects express arrivals per arrival cycle; drainRX books
 	// them in canonical (sender-gateway) order, making same-cycle event
-	// order irrelevant under partitioning (same rationale as the ATAC
-	// hub's staged receive).
+	// order irrelevant (same rationale as the ATAC hub's staged receive).
 	rxStage map[sim.Time][]gwJob
 
 	// Express channel health (fault injection).
@@ -334,7 +253,7 @@ type gwJob struct {
 
 func (g *gateway) enqueueTX(m *Message) {
 	n := FlitsFor(m.Bits, g.h.Cfg.Network.FlitBits)
-	g.st.HubFlits += uint64(n)
+	g.h.stats.HubFlits += uint64(n)
 	g.txq = append(g.txq, m)
 	if !g.txBusy {
 		g.startTX()
@@ -359,13 +278,13 @@ func (g *gateway) transmit(m *Message) {
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
 	busy := sim.Time(lag + n)
-	g.st.SelectEvents++
-	g.st.ExpressPkts++
-	g.st.ExpressFlits += uint64(n)
-	g.st.ExpressLaserCycles += uint64(n)
+	g.h.stats.SelectEvents++
+	g.h.stats.ExpressPkts++
+	g.h.stats.ExpressFlits += uint64(n)
+	g.h.stats.ExpressLaserCycles += uint64(n)
 	if m.retx > 0 {
-		g.st.OpticalRetxPkts++
-		g.st.OpticalRetxFlits += uint64(n)
+		g.h.stats.OpticalRetxPkts++
+		g.h.stats.OpticalRetxFlits += uint64(n)
 	}
 	forced := g.h.inj != nil && int(m.retx) >= g.h.inj.MaxRetries()
 	failed := false
@@ -376,31 +295,25 @@ func (g *gateway) transmit(m *Message) {
 				errs++
 			}
 		}
-		g.st.OpticalFlitErrors += uint64(errs)
+		g.h.stats.OpticalFlitErrors += uint64(errs)
 		g.observe(n, errs)
 		if errs > 0 {
 			if forced {
-				g.st.OpticalRetriesExhausted++
+				g.h.stats.OpticalRetriesExhausted++
 			} else {
-				g.st.OpticalNacks++
+				g.h.stats.OpticalNacks++
 				failed = true
 			}
 		}
 	}
 	if !failed {
 		rx := g.h.gws[cfg.GatewayOf(m.Dst)]
-		at := g.k.Now() + sim.Time(lag+1+oDelay)
-		if rx.sh == g.sh {
-			rx.scheduleRX(at, m, n, g.idx)
-		} else {
-			srcGW := g.idx
-			g.h.d.Post(g.sh, rx.sh, func() { rx.scheduleRX(at, m, n, srcGW) })
-		}
+		rx.scheduleRX(g.h.K.Now()+sim.Time(lag+1+oDelay), m, n, g.idx)
 	}
-	g.k.Schedule(busy, func() {
+	g.h.K.Schedule(busy, func() {
 		if failed {
 			m.retx++
-			g.k.Schedule(g.h.inj.Backoff(int(m.retx)), func() { g.transmit(m) })
+			g.h.K.Schedule(g.h.inj.Backoff(int(m.retx)), func() { g.transmit(m) })
 			return
 		}
 		g.txBusy = false
@@ -425,22 +338,22 @@ func (g *gateway) observe(flits, errs int) {
 	}
 	if float64(g.winErrs)/float64(g.winFlits) > inj.DegradeThreshold() {
 		g.degraded = true
-		g.st.DegradedChannels++
+		g.h.stats.DegradedChannels++
 	}
 	g.winFlits, g.winErrs = 0, 0
 }
 
 // scheduleRX stages an express arrival for cycle 'arrive' on the receiving
-// gateway's shard.
+// gateway.
 func (g *gateway) scheduleRX(arrive sim.Time, m *Message, n int, from int) {
-	g.h.outstanding[g.sh]++
+	g.h.outstanding++
 	if g.rxStage == nil {
 		g.rxStage = make(map[sim.Time][]gwJob)
 	}
 	jobs := g.rxStage[arrive]
 	g.rxStage[arrive] = append(jobs, gwJob{from, m, n})
 	if len(jobs) == 0 {
-		g.k.At(arrive, func() { g.drainRX(arrive) })
+		g.h.K.At(arrive, func() { g.drainRX(arrive) })
 	}
 }
 
@@ -452,8 +365,8 @@ func (g *gateway) drainRX(at sim.Time) {
 	delete(g.rxStage, at)
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].srcGW < jobs[j].srcGW })
 	for _, j := range jobs {
-		g.h.outstanding[g.sh]--
-		g.st.HubFlits += uint64(j.n)
+		g.h.outstanding--
+		g.h.stats.HubFlits += uint64(j.n)
 		if j.m.Dst == g.core {
 			g.h.deliverCore(g.core, j.m)
 			continue

@@ -59,12 +59,13 @@ type flit struct {
 	// (input-register staging): a flit landing off a link — or injected
 	// locally — at cycle c is arbitrable from c+1, never the same cycle.
 	// This kills every arrival/tick and Send/tick same-cycle ordering
-	// dependence the serial kernel's global FIFO used to resolve and a
-	// partitioned engine cannot reproduce — and is what real registered
-	// router pipelines do anyway. (Local injections must be staged too:
-	// although Send runs on the owning shard, whether the router's tick
-	// event lands before or after the Send in the same cycle's bucket
-	// depends on event push positions, which drift between engines.)
+	// dependence, so a router's behaviour never hangs on where its tick
+	// event sits in the cycle's bucket — which is what real registered
+	// router pipelines do anyway. Local injections are staged too:
+	// whether the tick lands before or after a Send in the same cycle
+	// depends on event push positions, an artifact of the kernel rather
+	// than of the modelled hardware. The cache schema and goldens pin
+	// this timing.
 	vis sim.Time
 
 	// Link-level retry state (fault injection). attempts counts failed
@@ -97,16 +98,13 @@ type Mesh struct {
 
 	routers []*router
 	deliver DeliverFunc
-	d       *sim.Domain
-	stats   []Stats // one block per shard; Stats() merges
-	snap    Stats   // last merged snapshot (Stats() return target)
-	wormSeq []uint64
+	stats   Stats
+	wormSeq uint64
 	inj     *fault.Injector    // nil = perfect links
 	lat     *metrics.Histogram // nil = latency histogram disabled
 }
 
-// NewMesh builds the mesh on a single kernel (a one-shard domain). It
-// panics on a non-positive geometry: meshes are constructed from
+// NewMesh builds the mesh on kernel k. It panics on a non-positive geometry: meshes are constructed from
 // validated configs.
 func NewMesh(k *sim.Kernel, dim, flitBits, bufFlits, routerDelay, linkDelay int, multicast bool) *Mesh {
 	if dim <= 0 || flitBits <= 0 || bufFlits <= 0 || routerDelay <= 0 || linkDelay <= 0 {
@@ -127,30 +125,7 @@ func NewMesh(k *sim.Kernel, dim, flitBits, bufFlits, routerDelay, linkDelay int,
 		}
 		m.routers[i] = r
 	}
-	m.Partition(sim.SerialDomain(k, dim*dim))
 	return m
-}
-
-// Partition (re)binds the mesh onto a shard domain mapping every tile to
-// its owning shard kernel: per-router kernels, per-shard statistics
-// blocks and worm-id counters. Must be called before the first Send;
-// NewMesh installs a serial one-shard domain, so only partitioned
-// systems call this explicitly. Cross-shard flit handoff and credit
-// return go through the domain's Post channel; everything else a router
-// touches is shard-local.
-func (m *Mesh) Partition(d *sim.Domain) {
-	if d.Tiles() != len(m.routers) {
-		panic(fmt.Sprintf("noc: domain maps %d tiles, mesh has %d routers", d.Tiles(), len(m.routers)))
-	}
-	m.d = d
-	m.K = d.ShardK(0)
-	m.stats = make([]Stats, d.NumShards())
-	m.wormSeq = make([]uint64, d.NumShards())
-	for _, r := range m.routers {
-		r.k = d.K(r.id)
-		r.sh = d.Shard(r.id)
-		r.st = &m.stats[r.sh]
-	}
 }
 
 // SetDeliver installs the ejection callback.
@@ -164,42 +139,28 @@ func (m *Mesh) SetDeliver(fn DeliverFunc) { m.deliver = fn }
 // injector leaves the mesh perfect.
 func (m *Mesh) SetFaults(inj *fault.Injector) { m.inj = inj }
 
-// Stats returns the counters. On a serial (one-shard) mesh this is the
-// live block, exactly as before sharding existed; on a partitioned mesh
-// it is a merged snapshot of the per-shard blocks, refreshed on every
-// call — read it at a barrier (between Run windows) for a consistent
-// view.
-func (m *Mesh) Stats() *Stats {
-	if len(m.stats) == 1 {
-		return &m.stats[0]
-	}
-	m.snap = m.stats[0]
-	for i := 1; i < len(m.stats); i++ {
-		m.snap.MergeFrom(&m.stats[i])
-	}
-	return &m.snap
-}
+// Stats returns the live counters.
+func (m *Mesh) Stats() *Stats { return &m.stats }
 
 // SetLatencyHist attaches a per-delivery latency histogram (nil disables
 // it again). The delivery path pays one nil check when unobserved.
 func (m *Mesh) SetLatencyHist(h *metrics.Histogram) { m.lat = h }
 
-// Send implements Network. It runs on the source tile's shard kernel —
-// senders (cores, directories, hubs) always inject from their own tile's
-// events, so everything Send touches is shard-local.
+// Send implements Network.
 func (m *Mesh) Send(msg *Message) {
 	src := m.routers[msg.Src]
+	st := &m.stats
 	if !m.Transport {
-		msg.Inject = src.k.Now()
+		msg.Inject = m.K.Now()
 	}
 	n := FlitsFor(msg.Bits, m.FlitBits)
 	if msg.Dst == BroadcastDst {
 		if !m.Transport {
-			src.st.BroadcastSent++
-			src.st.InjectedFlits += uint64(n)
+			st.BroadcastSent++
+			st.InjectedFlits += uint64(n)
 		}
 		// Local copy to the source core.
-		src.k.Schedule(1, func() { m.eject(msg.Src, msg) })
+		m.K.Schedule(1, func() { m.eject(msg.Src, msg) })
 		if m.Multicast {
 			src.spawnRowAndCols(msg, n)
 		} else {
@@ -219,11 +180,11 @@ func (m *Mesh) Send(msg *Message) {
 		return
 	}
 	if !m.Transport {
-		src.st.UnicastSent++
-		src.st.InjectedFlits += uint64(n)
+		st.UnicastSent++
+		st.InjectedFlits += uint64(n)
 	}
 	if msg.Dst == msg.Src {
-		src.k.Schedule(1, func() { m.eject(msg.Dst, msg) })
+		m.K.Schedule(1, func() { m.eject(msg.Dst, msg) })
 		return
 	}
 	src.enqueueWorm(msg, phaseNone, n)
@@ -258,17 +219,17 @@ func (m *Mesh) Drained() bool {
 }
 
 func (m *Mesh) eject(dst int, msg *Message) {
-	r := m.routers[dst]
 	if !m.Transport {
-		now := r.k.Now()
-		r.st.Delivered++
+		st := &m.stats
+		now := m.K.Now()
+		st.Delivered++
 		if msg.Dst == BroadcastDst || msg.origBcast {
-			r.st.BroadcastRecv++
+			st.BroadcastRecv++
 		} else {
-			r.st.UnicastRecv++
+			st.UnicastRecv++
 		}
-		r.st.RecordLatency(now - msg.Inject)
-		r.st.RecordClassLatency(msg.Class, now-msg.Inject)
+		st.RecordLatency(now - msg.Inject)
+		st.RecordClassLatency(msg.Class, now-msg.Inject)
 		m.lat.Observe(uint64(now - msg.Inject))
 	}
 	if m.deliver != nil {
@@ -285,9 +246,6 @@ func (m *Mesh) eject(dst int, msg *Message) {
 // (arriveFn), so a link crossing schedules no per-flit closure either.
 type router struct {
 	m      *Mesh
-	k      *sim.Kernel // owning shard's kernel (== m.K when serial)
-	st     *Stats      // owning shard's statistics block
-	sh     int         // owning shard
 	id     int
 	x, y   int
 	tickFn func()
@@ -310,9 +268,8 @@ type router struct {
 	// wire is symmetric). Entries are (free-cycle) stamps in
 	// nondecreasing order; drainCredits folds the mature ones into
 	// outCredit at the top of each tick. Same staging discipline as flit
-	// arrival: no same-cycle cross-tile visibility, so credit-return
-	// ordering inside a cycle cannot matter — serial and sharded engines
-	// agree bit for bit.
+	// arrival: no same-cycle cross-tile visibility, so the order in which
+	// routers tick inside a cycle cannot change when a credit is spent.
 	credQ     [4][]sim.Time
 	credHead  [4]int
 	outLock   [numPorts]uint64 // worm holding each output; 0 = free
@@ -387,17 +344,13 @@ func (r *router) spawnCols(msg *Message, n int) {
 }
 
 // enqueueWorm constructs a worm's flits directly in the local injection
-// queue (no intermediate worm slice). Worm ids are drawn from the owning
-// shard's counter with a stride making them globally unique and nonzero
-// (shard s issues s+1, n+s+1, 2n+s+1, ...; the one-shard sequence is
-// exactly the old serial 1, 2, 3, ...). Ids are only compared for
-// equality, so the numbering scheme is unobservable.
+// queue (no intermediate worm slice). Worm ids are 1, 2, 3, ...; zero
+// marks a free output lock.
 func (r *router) enqueueWorm(msg *Message, ph mcPhase, n int) {
-	nsh := uint64(len(r.m.wormSeq))
-	id := r.m.wormSeq[r.sh]*nsh + uint64(r.sh) + 1
-	r.m.wormSeq[r.sh]++
+	r.m.wormSeq++
+	id := r.m.wormSeq
 	q := r.in[portLocal]
-	vis := r.k.Now() + 1 // input-register staging, same as link arrival
+	vis := r.m.K.Now() + 1 // input-register staging, same as link arrival
 	for i := 0; i < n; i++ {
 		q = append(q, flit{msg: msg, worm: id, phase: ph, idx: i, n: n, vis: vis})
 	}
@@ -416,7 +369,7 @@ func (r *router) linkArrive(p int) {
 		r.linkQ[p] = r.linkQ[p][:0]
 		r.linkHead[p] = 0
 	}
-	f.vis = r.k.Now() + 1
+	f.vis = r.m.K.Now() + 1
 	r.in[p] = append(r.in[p], f)
 	r.wake()
 }
@@ -424,9 +377,8 @@ func (r *router) linkArrive(p int) {
 // pushCredit stages one returning credit for output out, freed downstream
 // at cycle freed. No wake: a router with flits waiting on credit re-arms
 // its own tick every cycle (the end-of-tick wake), and a router with no
-// queued flits has nothing a credit could move — so the old wake-on-
-// credit was behaviorally a no-op, and dropping it is what lets credits
-// cross shard boundaries without an event.
+// queued flits has nothing a credit could move — so a wake-on-credit
+// would be behaviorally a no-op.
 func (r *router) pushCredit(out int, freed sim.Time) {
 	r.credQ[out] = append(r.credQ[out], freed)
 }
@@ -456,7 +408,7 @@ func (r *router) wake() {
 		return
 	}
 	r.scheduled = true
-	r.k.Schedule(sim.Time(r.m.RouterDelay), r.tickFn)
+	r.m.K.Schedule(sim.Time(r.m.RouterDelay), r.tickFn)
 }
 
 // route returns the output port for a head flit at this router.
@@ -502,7 +454,7 @@ func (r *router) route(f flit) int {
 // tick advances the router by one cycle: at most one flit per output port.
 func (r *router) tick() {
 	r.scheduled = false
-	now := r.k.Now()
+	now := r.m.K.Now()
 	r.drainCredits(now)
 	for out := 0; out < numPorts; out++ {
 		var inp = -1
@@ -545,7 +497,7 @@ func (r *router) tick() {
 		// every worm, and therefore every message pair, in FIFO order —
 		// the coherence protocol's ordering assumptions are unaffected.
 		if out != portLocal && r.m.inj != nil && r.m.inj.MeshFlitError() {
-			st := r.st
+			st := &r.m.stats
 			st.MeshFlitErrors++
 			st.MeshNacks++
 			st.MeshLinkFlits++
@@ -574,17 +526,11 @@ func (r *router) tick() {
 		}
 		// Return a credit upstream for the buffer slot we freed. The
 		// credit is staged on the reverse wire (pushCredit) and becomes
-		// spendable upstream LinkDelay cycles after this tick — the same
-		// registered-return timing on both engines, crossing shard
-		// boundaries through the domain's Post channel when needed.
+		// spendable upstream LinkDelay cycles after this tick
+		// (registered credit return).
 		if inp < portLocal {
 			if up := r.neighbor(inp); up != nil {
-				o := opposite(inp)
-				if up.sh == r.sh {
-					up.pushCredit(o, now)
-				} else {
-					r.m.d.Post(r.sh, up.sh, func() { up.pushCredit(o, now) })
-				}
+				up.pushCredit(opposite(inp), now)
 			}
 		}
 		// Multicast worms deliver a local copy and spawn column worms as
@@ -596,24 +542,12 @@ func (r *router) tick() {
 			r.ejectFlit(f, arrived)
 		} else {
 			r.outCredit[out]--
-			r.st.MeshLinkFlits++
-			r.st.MeshRouterFlits++
+			r.m.stats.MeshLinkFlits++
+			r.m.stats.MeshRouterFlits++
 			nbr := r.neighbor(out)
 			inPort := opposite(out)
-			if nbr.sh == r.sh {
-				nbr.linkQ[inPort] = append(nbr.linkQ[inPort], f)
-				r.k.Schedule(sim.Time(r.m.LinkDelay), nbr.arriveFn[inPort])
-			} else {
-				// Cross-shard hop: hand the flit to the neighbour's
-				// shard at the barrier; it lands in the same staging
-				// queue with the same arrival cycle as a local hop.
-				fl := f
-				at := now + sim.Time(r.m.LinkDelay)
-				r.m.d.Post(r.sh, nbr.sh, func() {
-					nbr.linkQ[inPort] = append(nbr.linkQ[inPort], fl)
-					nbr.k.At(at, nbr.arriveFn[inPort])
-				})
-			}
+			nbr.linkQ[inPort] = append(nbr.linkQ[inPort], f)
+			r.m.K.Schedule(sim.Time(r.m.LinkDelay), nbr.arriveFn[inPort])
 			if f.tail() && f.phase != phaseNone && arrived {
 				r.mcastTailSideEffects(f)
 			}
@@ -628,7 +562,7 @@ func (r *router) tick() {
 }
 
 func (r *router) ejectFlit(f flit, arrived bool) {
-	r.st.MeshRouterFlits++
+	r.m.stats.MeshRouterFlits++
 	if !f.tail() {
 		return
 	}

@@ -15,7 +15,6 @@
 package noc
 
 import (
-	"reflect"
 
 	"repro/internal/sim"
 )
@@ -162,25 +161,6 @@ type Stats struct {
 	DegradedChannels     uint64 // optical channels currently degraded (gauge)
 }
 
-// MergeFrom folds o's counters into s — the per-shard statistics blocks
-// of a partitioned network merge through this on every Stats() read.
-// Every field is an additive event count except LatencyMax, which merges
-// by maximum. Reflection keeps the merge honest by construction: a new
-// counter field is additive without anyone remembering to extend a
-// hand-written merge (guarded by a test that the struct stays all-uint64).
-func (s *Stats) MergeFrom(o *Stats) {
-	maxLat := s.LatencyMax
-	if o.LatencyMax > maxLat {
-		maxLat = o.LatencyMax
-	}
-	sv := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		sv.Field(i).SetUint(sv.Field(i).Uint() + ov.Field(i).Uint())
-	}
-	s.LatencyMax = maxLat
-}
-
 // FaultEvents reports whether any resilience counter is nonzero (used by
 // reports to decide whether to print the resilience block).
 func (s *Stats) FaultEvents() bool {
@@ -228,4 +208,63 @@ func (s *Stats) AvgLatency() float64 {
 		return 0
 	}
 	return float64(s.LatencySum) / float64(s.LatencyCount)
+}
+
+// pairKey names one (source, destination) core pair.
+type pairKey struct{ src, dst int }
+
+// pairOrder restores per-pair FIFO delivery on fabrics whose paths can
+// vary per message (a small reorder CAM at each receiving NIC in
+// hardware): stamp numbers a pair's messages at the sender, and receive
+// holds an early arrival until its predecessors have been delivered.
+type pairOrder struct {
+	next    map[pairKey]uint64
+	want    map[pairKey]uint64
+	held    map[pairKey]map[uint64]*Message
+	deliver DeliverFunc
+}
+
+func newPairOrder(deliver DeliverFunc) *pairOrder {
+	return &pairOrder{
+		next:    make(map[pairKey]uint64),
+		want:    make(map[pairKey]uint64),
+		held:    make(map[pairKey]map[uint64]*Message),
+		deliver: deliver,
+	}
+}
+
+// stamp gives m the next sequence number of its pair (1-based; 0 means
+// unsequenced).
+func (p *pairOrder) stamp(m *Message) {
+	k := pairKey{m.Src, m.Dst}
+	m.pairSeq = p.next[k] + 1
+	p.next[k] = m.pairSeq
+}
+
+// receive delivers m to core dst if it is next in its pair's order,
+// followed by any consecutively held successors; otherwise it holds m.
+func (p *pairOrder) receive(dst int, m *Message) {
+	k := pairKey{m.Src, m.Dst}
+	want := p.want[k] + 1
+	if m.pairSeq != want {
+		held := p.held[k]
+		if held == nil {
+			held = make(map[uint64]*Message)
+			p.held[k] = held
+		}
+		held[m.pairSeq] = m
+		return
+	}
+	p.want[k] = want
+	p.deliver(dst, m)
+	for {
+		held := p.held[k]
+		next, ok := held[p.want[k]+1]
+		if !ok {
+			return
+		}
+		delete(held, p.want[k]+1)
+		p.want[k]++
+		p.deliver(dst, next)
+	}
 }

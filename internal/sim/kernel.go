@@ -203,34 +203,6 @@ func (k *Kernel) atFar(t Time, fn func()) {
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.wheelCount + len(k.far) }
 
-// NextEventTime returns the cycle of the earliest queued event at or
-// after now (including unprocessed events left in the current cycle's
-// bucket), or false when no events remain. The sharded synchronizer uses
-// it to place lookahead windows and to jump over idle gaps; cost is
-// proportional to the distance to the next event, capped by the wheel
-// size.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	var best Time
-	found := false
-	if k.wheelCount > 0 {
-		if k.idx < len(k.wheel[k.now&wheelMask]) {
-			return k.now, true
-		}
-		for t := k.now + 1; t < k.now+wheelSize; t++ {
-			if len(k.wheel[t&wheelMask]) > 0 {
-				best, found = t, true
-				break
-			}
-		}
-	}
-	// Far events are folded into buckets only when their cycle arrives,
-	// so the heap head can predate anything the wheel scan saw.
-	if len(k.far) > 0 && (!found || k.far[0].at < best) {
-		best, found = k.far[0].at, true
-	}
-	return best, found
-}
-
 // wheelOccupancy counts unprocessed events actually present in wheel
 // buckets, independent of the wheelCount accounting. Test hook for the
 // invariant wheelCount == wheelOccupancy (executed events are nil'd but

@@ -477,3 +477,51 @@ func TestPollAndBudgetCompose(t *testing.T) {
 		t.Fatalf("pending=%d, want 30", k.Pending())
 	}
 }
+
+// The wheelCount accounting must never drift from actual bucket
+// occupancy, in particular across the cancellation-poll stop path, which
+// halts runs at arbitrary event boundaries, and across resumed runs and
+// far-event folding.
+func TestWheelCountMatchesOccupancy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var k Kernel
+	check := func(stage string) {
+		t.Helper()
+		if k.wheelCount != k.wheelOccupancy() {
+			t.Fatalf("%s: wheelCount=%d occupancy=%d", stage, k.wheelCount, k.wheelOccupancy())
+		}
+		if k.Pending() != k.wheelCount+len(k.far) {
+			t.Fatalf("%s: Pending=%d wheel=%d far=%d", stage, k.Pending(), k.wheelCount, len(k.far))
+		}
+	}
+	var churn func()
+	churn = func() {
+		// Random mix of near, same-cycle, and far re-scheduling.
+		switch rng.Intn(4) {
+		case 0:
+			k.Schedule(0, churn)
+		case 1:
+			k.Schedule(Time(1+rng.Intn(100)), churn)
+		case 2:
+			k.Schedule(Time(4096+rng.Intn(4096)), churn)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		k.Schedule(Time(rng.Intn(5000)), churn)
+	}
+	check("after scheduling")
+	// Repeatedly cancel mid-run via the poll, re-arm, and continue.
+	for round := 0; round < 20; round++ {
+		polls := 0
+		k.SetPoll(uint64(1+rng.Intn(7)), func() bool {
+			polls++
+			return polls < 3
+		})
+		k.Run(k.Now() + Time(1+rng.Intn(300)))
+		check(fmt.Sprintf("round %d (cancelled=%v)", round, k.Cancelled()))
+	}
+	k.SetPoll(1, nil)
+	k.SetEventBudget(1 << 20)
+	k.Run(k.Now() + 100000)
+	check("after drain")
+}

@@ -38,8 +38,6 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 		v[0], v[1] = float64(instr), float64(fin)
 	})
 
-	// The coherence counters are merged on read under sharding, so sample
-	// through the accessor each epoch rather than holding the pointer.
 	c.AddSource("coh", []string{
 		"l1d_reads", "l1d_writes", "l1d_misses", "l2_misses",
 		"dir_accesses", "inv_bcasts", "inv_unicasts", "acks", "mem_reads", "mem_writes",
@@ -123,7 +121,7 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 		for _, core := range s.Core {
 			instr += core.Instructions
 		}
-		v[0] = f * peak * cores * float64(s.eng.Now()) * 1e-9
+		v[0] = f * peak * cores * float64(s.K.Now()) * 1e-9
 		v[1] = (1 - f) * peak * float64(instr) * 1e-9
 	})
 

@@ -29,14 +29,6 @@ type System struct {
 	Coh  *coherence.System
 	Core []*cpu.Core
 
-	// Shards is the effective shard count of the execution engine: 1 for
-	// a serial machine (New), >1 when NewSharded partitioned it onto the
-	// parallel engine.
-	Shards int
-	sh     *sim.Sharded // non-nil when Shards > 1
-	dom    *sim.Domain  // non-nil when Shards > 1
-	eng    engine       // s.K (serial) or s.sh (sharded)
-
 	// Observability (both nil unless AttachMetrics was called; a nil
 	// collector keeps Run on the single-chunk fast path).
 	metrics *metrics.Collector
@@ -48,8 +40,7 @@ func New(cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{Cfg: cfg, K: &sim.Kernel{}, Shards: 1}
-	s.eng = s.K
+	s := &System{Cfg: cfg, K: &sim.Kernel{}}
 	n := &s.Cfg.Network
 	switch n.Kind {
 	case config.EMeshPure:
@@ -81,12 +72,9 @@ func New(cfg config.Config) (*System, error) {
 	return s, nil
 }
 
-// Clock returns the machine's simulated clock: the serial kernel, or the
-// sharded engine's global window clock when the machine was partitioned.
-// Observers (the metrics collector) must stamp epochs from this, not from
-// S.K — under sharding S.K is shard 0's kernel, whose local clock can lag
-// the global one when the shard's queue drains early.
-func (s *System) Clock() sim.Clock { return s.eng }
+// Clock returns the machine's simulated clock, the kernel that stamps
+// metric epochs.
+func (s *System) Clock() sim.Clock { return s.K }
 
 // Result captures one benchmark run.
 type Result struct {
@@ -188,23 +176,13 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 	if spec.Init != nil {
 		spec.Init(s.Coh.Vals)
 	}
-	if s.sh != nil {
-		// Workers outlive Run only to keep their spin state warm; park
-		// them for good when this run is over (Run respawns if reused).
-		defer s.sh.Close()
-	}
-	// Finish bookkeeping is per shard — onFinish fires inside the owning
-	// shard's events, which run concurrently across shards — and is folded
-	// after the engine stops (max of last finishes, sum of finish counts).
-	nsh := s.Shards
-	finishedSh := make([]int, nsh)
-	lastSh := make([]sim.Time, nsh)
+	var last sim.Time
+	remaining := len(s.Core)
 	for _, c := range s.Core {
-		sh := s.shardOf(c.ID)
 		c.Start(spec.Program, func(c *cpu.Core) {
-			finishedSh[sh]++
-			if c.FinishTime > lastSh[sh] {
-				lastSh[sh] = c.FinishTime
+			remaining--
+			if c.FinishTime > last {
+				last = c.FinishTime
 			}
 		})
 	}
@@ -216,25 +194,17 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 	// retired instructions or delivered flits (deadlock guard) and halts
 	// the run with a per-core blocked-state report.
 	if s.Cfg.Fault.EventBudget > 0 {
-		s.eng.SetEventBudget(s.Cfg.Fault.EventBudget)
+		s.K.SetEventBudget(s.Cfg.Fault.EventBudget)
 	}
 	var wd *Watchdog
 	if s.Cfg.Fault.WatchdogInterval > 0 && s.Cfg.Fault.WatchdogStalls > 0 {
 		wd = startWatchdog(s, sim.Time(s.Cfg.Fault.WatchdogInterval), s.Cfg.Fault.WatchdogStalls)
 	}
 	if ctx.Done() != nil {
-		s.eng.SetPoll(cancelPollEvents, func() bool { return ctx.Err() == nil })
+		s.K.SetPoll(cancelPollEvents, func() bool { return ctx.Err() == nil })
 	}
 	s.runKernel(horizon)
 
-	var last sim.Time
-	remaining := len(s.Core)
-	for i := 0; i < nsh; i++ {
-		remaining -= finishedSh[i]
-		if lastSh[i] > last {
-			last = lastSh[i]
-		}
-	}
 	res := Result{
 		Benchmark: spec.Name,
 		Cfg:       s.Cfg,
@@ -250,7 +220,7 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 		// No core finished: the run's extent is the time actually
 		// simulated, not the zero value of "last finish".
 		if last == 0 {
-			res.Cycles = s.eng.Now()
+			res.Cycles = s.K.Now()
 		}
 		for _, c := range s.Core {
 			c.Kill()
@@ -258,13 +228,13 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 		if wd.Tripped() {
 			return res, fmt.Errorf("system: %s: %w: %s", spec.Name, ErrStalled, wd.Report())
 		}
-		if s.eng.Cancelled() {
+		if s.K.Cancelled() {
 			return res, fmt.Errorf("system: %s: %w at cycle %d (%d instructions retired): %w",
-				spec.Name, ErrRunCancelled, s.eng.Now(), res.Instructions, context.Cause(ctx))
+				spec.Name, ErrRunCancelled, s.K.Now(), res.Instructions, context.Cause(ctx))
 		}
-		if s.eng.BudgetExhausted() {
+		if s.K.BudgetExhausted() {
 			return res, fmt.Errorf("system: %s: %w after %d events at cycle %d",
-				spec.Name, sim.ErrEventBudget, s.Cfg.Fault.EventBudget, s.eng.Now())
+				spec.Name, sim.ErrEventBudget, s.Cfg.Fault.EventBudget, s.K.Now())
 		}
 		return res, fmt.Errorf("system: %s: %d cores unfinished at horizon %d", spec.Name, remaining, horizon)
 	}
@@ -289,7 +259,7 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 func (s *System) runKernel(horizon sim.Time) {
 	c := s.metrics
 	if c == nil {
-		s.eng.Run(horizon)
+		s.K.Run(horizon)
 		return
 	}
 	c.Start()
@@ -298,9 +268,8 @@ func (s *System) runKernel(horizon sim.Time) {
 		if until > horizon {
 			until = horizon
 		}
-		s.eng.Run(until)
-		if s.eng.Pending() == 0 || s.eng.BudgetExhausted() || s.eng.Cancelled() ||
-			(s.sh != nil && s.sh.Halted()) || s.eng.Now() >= horizon {
+		s.K.Run(until)
+		if s.K.Pending() == 0 || s.K.BudgetExhausted() || s.K.Cancelled() || s.K.Now() >= horizon {
 			break
 		}
 		c.Tick()
@@ -309,8 +278,8 @@ func (s *System) runKernel(horizon sim.Time) {
 	// reproduce Kernel.Run's drained-queue semantics (clock jumps to the
 	// horizon) so callers observe the same Now() either way.
 	c.Finish()
-	if s.eng.Pending() == 0 && s.eng.Now() < horizon {
-		s.eng.Run(horizon)
+	if s.K.Pending() == 0 && s.K.Now() < horizon {
+		s.K.Run(horizon)
 	}
 }
 

@@ -35,35 +35,10 @@ type Watchdog struct {
 }
 
 // startWatchdog arms the watchdog; interval and maxStalls must be
-// positive (the caller gates on the config).
-//
-// On a serial engine the watchdog is one self-rescheduling kernel event.
-// On a sharded engine the progress check must not run inside a shard's
-// events (it reads every shard's counters), so it is split: a heartbeat
-// event on shard 0 keeps simulated time — and with it the window barriers
-// — advancing through idle phases, while the check itself runs as a
-// barrier hook, where all shard workers are parked and cross-shard reads
-// are ordered.
+// positive (the caller gates on the config). The watchdog is one
+// self-rescheduling kernel event.
 func startWatchdog(s *System, interval sim.Time, maxStalls int) *Watchdog {
 	w := &Watchdog{s: s, interval: interval, maxStalls: maxStalls}
-	if s.sh != nil {
-		var beat func()
-		beat = func() {
-			if !w.tripped {
-				s.K.Schedule(w.interval, beat)
-			}
-		}
-		s.K.Schedule(w.interval, beat)
-		next := w.interval
-		s.sh.AddBarrierHook(func(now sim.Time) {
-			if w.tripped || now < next {
-				return
-			}
-			next = now + w.interval
-			w.check()
-		})
-		return w
-	}
 	s.K.Schedule(interval, w.tick)
 	return w
 }
@@ -93,12 +68,6 @@ func (w *Watchdog) check() bool {
 	}
 	w.tripped = true
 	w.report = w.blockedReport()
-	if w.s.sh != nil {
-		// The sharded engine stops at the next window barrier; every
-		// queued event survives for post-mortem inspection.
-		w.s.sh.Halt()
-		return true
-	}
 	// Halting the kernel from inside one of its own events: zero the
 	// event budget so Run stops at the next event boundary with every
 	// queued event preserved for post-mortem inspection.
@@ -124,7 +93,7 @@ func (w *Watchdog) blockedReport() string {
 	var b strings.Builder
 	window := sim.Time(w.maxStalls) * w.interval
 	fmt.Fprintf(&b, "no progress for %d cycles (instr=%d, delivered=%d) at cycle %d; stuck cores:",
-		window, w.lastInstr, w.lastDelivered, w.s.eng.Now())
+		window, w.lastInstr, w.lastDelivered, w.s.K.Now())
 	stuck := 0
 	for _, c := range w.s.Core {
 		if c.Finished {

@@ -23,8 +23,9 @@ import (
 // network-only synthetic-traffic runs; 3 the NoC moved to registered
 // input staging (flits injected or landing off a link become arbitrable
 // the next cycle) and canonical same-cycle ONet receive ordering — the
-// determinism model that makes sharded PDES runs bit-identical to
-// serial ones — shifting every timing-derived figure by about a percent;
+// determinism model that made the since-deleted sharded PDES engine
+// bit-identical to the serial kernel — shifting every timing-derived
+// figure by about a percent;
 // 4 Config gained the Tech/Optics technology-scenario fields, which
 // enter both the run key and the serialized config inside every cache
 // key, so schema-3 entries can no longer be matched to their runs;

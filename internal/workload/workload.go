@@ -120,32 +120,41 @@ func rng(seed int64, core int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000003 + int64(core)*7919 + 1))
 }
 
-// Catalog builds all eight benchmarks at a scale appropriate for the given
-// core count. scale multiplies the per-core problem size (1 = the default
-// used throughout the evaluation).
-func Catalog(cores int, seed int64, scale int) []Spec {
+// kernels lists every benchmark constructor in catalog order: the paper's
+// eight, then the extension kernels this repository adds (fft, water).
+var kernels = []func(cores int, seed int64, scale int) Spec{
+	DynamicGraph, Radix, Barnes, FMM, OceanContig, LUContig, OceanNonContig, LUNonContig,
+	FFT, Water,
+}
+
+// paperKernels is how many leading entries of kernels the paper evaluates.
+const paperKernels = 8
+
+// build constructs each kernel at one scale; scale < 1 means 1, so every
+// kernel in a catalog sees the same problem size.
+func build(fns []func(int, int64, int) Spec, cores int, seed int64, scale int) []Spec {
 	if scale < 1 {
 		scale = 1
 	}
-	return []Spec{
-		DynamicGraph(cores, seed, scale),
-		Radix(cores, seed, scale),
-		Barnes(cores, seed, scale),
-		FMM(cores, seed, scale),
-		OceanContig(cores, seed, scale),
-		LUContig(cores, seed, scale),
-		OceanNonContig(cores, seed, scale),
-		LUNonContig(cores, seed, scale),
+	out := make([]Spec, len(fns))
+	for i, f := range fns {
+		out[i] = f(cores, seed, scale)
 	}
+	return out
+}
+
+// Catalog builds all eight benchmarks at a scale appropriate for the given
+// core count. scale multiplies the per-core problem size (1 = the default
+// used throughout the evaluation; smaller values mean 1).
+func Catalog(cores int, seed int64, scale int) []Spec {
+	return build(kernels[:paperKernels], cores, seed, scale)
 }
 
 // ExtendedCatalog returns the paper's eight benchmarks plus the extension
-// kernels this repository adds beyond the paper (fft, water).
+// kernels this repository adds beyond the paper (fft, water), all at the
+// same scale.
 func ExtendedCatalog(cores int, seed int64, scale int) []Spec {
-	return append(Catalog(cores, seed, scale),
-		FFT(cores, seed, scale),
-		Water(cores, seed, scale),
-	)
+	return build(kernels, cores, seed, scale)
 }
 
 // ByName returns the named benchmark from the extended catalog.

@@ -1,8 +1,10 @@
 package workload_test
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/system"
 	"repro/internal/workload"
@@ -188,5 +190,47 @@ func TestExtendedCatalog(t *testing.T) {
 	}
 	if ext[8].Name != "fft" || ext[9].Name != "water" {
 		t.Fatalf("extension names: %s %s", ext[8].Name, ext[9].Name)
+	}
+}
+
+// inputWords loads spec's input data into a fresh store and returns the
+// words of the simulated address space the catalog allocates from, a
+// fingerprint of the problem size the constructor chose.
+func inputWords(spec workload.Spec) []uint64 {
+	vs := coherence.NewValueStore()
+	if spec.Init != nil {
+		spec.Init(vs)
+	}
+	const base, words = 1 << 20, 1 << 15
+	out := make([]uint64, words)
+	for i := range out {
+		out[i] = vs.Read(base + uint64(i)*8)
+	}
+	return out
+}
+
+// TestScaleBelowOneMeansOne pins that every kernel, the extension kernels
+// included, treats scale < 1 as scale 1: the same name and problem size,
+// never a panic or an empty problem.
+func TestScaleBelowOneMeansOne(t *testing.T) {
+	for _, ref := range workload.ExtendedCatalog(16, 42, 1) {
+		want := inputWords(ref)
+		for _, scale := range []int{-1, 0} {
+			got, err := workload.ByName(ref.Name, 16, 42, scale)
+			if err != nil {
+				t.Fatalf("%s at scale %d: %v", ref.Name, scale, err)
+			}
+			if got.Name != ref.Name || !slices.Equal(inputWords(got), want) {
+				t.Errorf("%s at scale %d differs from scale 1", ref.Name, scale)
+			}
+		}
+		// The fingerprint must see problem size at all.
+		big, err := workload.ByName(ref.Name, 16, 42, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(inputWords(big), want) {
+			t.Errorf("%s: scale 2 input equals scale 1; fingerprint is blind", ref.Name)
+		}
 	}
 }
