@@ -141,7 +141,7 @@ func submit(c *serve.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	var (
 		bench   = fs.String("bench", "radix", "benchmark name, or a synth:... pseudo-benchmark")
-		net     = fs.String("net", "", "network: pure, bcast, atac, atac+ (default atac+)")
+		net     = fs.String("net", "", "network: pure, bcast, atac, atac+, corona, hybrid (default atac+)")
 		cores   = fs.Int("cores", 0, "total cores (default: daemon default)")
 		sharers = fs.Int("sharers", 0, "hardware sharer pointers (0 = default)")
 		proto   = fs.String("coherence", "", "coherence protocol: ackwise, dirkb")

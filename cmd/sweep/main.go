@@ -56,7 +56,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.param, "param", "flit", "swept parameter: flit, rthres, sharers, load")
 	fs.StringVar(&o.values, "values", "", "comma-separated integer values (load: percent of a flit/cycle/core)")
 	fs.StringVar(&o.bench, "bench", "radix", "benchmark (system sweeps)")
-	fs.StringVar(&o.net, "net", "atac+", "network (system sweeps; load sweeps use ATAC+): pure, bcast, atac, atac+")
+	fs.StringVar(&o.net, "net", "atac+", "network (system sweeps; load sweeps use ATAC+): pure, bcast, atac, atac+, corona, hybrid")
 	fs.IntVar(&o.cores, "cores", 64, "total cores")
 	fs.StringVar(&o.pattern, "pattern", "uniform", "traffic pattern (load sweeps): "+strings.Join(traffic.Patterns(), ", "))
 	fs.StringVar(&o.tech, "tech", "", "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")

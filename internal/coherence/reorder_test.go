@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -21,8 +23,11 @@ func (p *pipeNet) Send(m *noc.Message) {
 	m.Inject = 0
 	p.outbox = append(p.outbox, m)
 }
-func (p *pipeNet) SetDeliver(fn noc.DeliverFunc) { p.deliver = fn }
-func (p *pipeNet) Stats() *noc.Stats             { return &p.stats }
+func (p *pipeNet) SetDeliver(fn noc.DeliverFunc)     { p.deliver = fn }
+func (p *pipeNet) Stats() *noc.Stats                 { return &p.stats }
+func (p *pipeNet) SetFaults(*fault.Injector)         {}
+func (p *pipeNet) SetLatencyHist(*metrics.Histogram) {}
+func (p *pipeNet) Drained() bool                     { return len(p.outbox) == 0 }
 
 // take removes and returns the first outbox message matching the filter.
 func (p *pipeNet) take(t *testing.T, match func(*Msg) bool) *noc.Message {

@@ -477,6 +477,9 @@ func (c *Config) Validate() error {
 	if c.ClusterDim <= 0 || dim%c.ClusterDim != 0 {
 		return fmt.Errorf("config: ClusterDim %d does not tile mesh dim %d", c.ClusterDim, dim)
 	}
+	if c.Network.Kind < EMeshPure || c.Network.Kind > HybridMesh {
+		return fmt.Errorf("config: unknown network kind %v", c.Network.Kind)
+	}
 	if c.Network.FlitBits <= 0 {
 		return fmt.Errorf("config: FlitBits must be positive, got %d", c.Network.FlitBits)
 	}

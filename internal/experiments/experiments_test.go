@@ -367,6 +367,26 @@ func TestFig3Synthetic(t *testing.T) {
 	}
 }
 
+// TestSyntheticRunsEveryKind drives a short synthetic-traffic run through
+// every network kind: a `synth:` job is valid for any fabric a system run
+// accepts, so none may fail as an unknown kind.
+func TestSyntheticRunsEveryKind(t *testing.T) {
+	o := Options{Cores: 16, Scale: 1, Seed: 42}
+	sp := SynthSpec{Pattern: "uniform", Load: 0.05, BcastFrac: 0.01, Warmup: 200, Measure: 600}
+	for _, k := range []config.NetworkKind{
+		config.EMeshPure, config.EMeshBCast, config.ATAC, config.ATACPlus, config.Corona, config.HybridMesh,
+	} {
+		res, err := runSynthetic(o.Config(k), sp.Bench(), sp)
+		if err != nil {
+			t.Errorf("%v: %v", k, err)
+			continue
+		}
+		if res.Synth.Injected == 0 || res.Synth.Delivered == 0 {
+			t.Errorf("%v: injected %d, delivered %d", k, res.Synth.Injected, res.Synth.Delivered)
+		}
+	}
+}
+
 func TestTableString(t *testing.T) {
 	tab := &Table{
 		Title:   "T",

@@ -93,23 +93,10 @@ func (h *conservationHarness) check(t testing.TB) {
 			}
 		}
 	}
-	d, ok := h.net.(Drainer)
-	if !ok {
-		t.Fatalf("%T does not implement noc.Drainer", h.net)
-	}
-	if !d.Drained() {
+	if !h.net.Drained() {
 		t.Fatal("network not drained after RunAll")
 	}
 }
-
-// Every fabric backend must satisfy Drainer so the harness check above —
-// and the system layer's end-of-run accounting — hold by construction.
-var (
-	_ Drainer = (*Mesh)(nil)
-	_ Drainer = (*Atac)(nil)
-	_ Drainer = (*Crossbar)(nil)
-	_ Drainer = (*Hybrid)(nil)
-)
 
 // atacConservationFixture builds a 16-core ATAC+ with optional faults.
 func atacConservationFixture(t testing.TB, fc config.Fault) (*sim.Kernel, *Atac) {

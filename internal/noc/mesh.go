@@ -220,17 +220,7 @@ func (m *Mesh) Drained() bool {
 
 func (m *Mesh) eject(dst int, msg *Message) {
 	if !m.Transport {
-		st := &m.stats
-		now := m.K.Now()
-		st.Delivered++
-		if msg.Dst == BroadcastDst || msg.origBcast {
-			st.BroadcastRecv++
-		} else {
-			st.UnicastRecv++
-		}
-		st.RecordLatency(now - msg.Inject)
-		st.RecordClassLatency(msg.Class, now-msg.Inject)
-		m.lat.Observe(uint64(now - msg.Inject))
+		m.stats.recordDelivery(msg, m.K.Now(), m.lat)
 	}
 	if m.deliver != nil {
 		m.deliver(dst, msg)

@@ -15,7 +15,11 @@
 package noc
 
 import (
+	"fmt"
 
+	"repro/internal/config"
+	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -71,14 +75,35 @@ type Network interface {
 	SetDeliver(fn DeliverFunc)
 	// Stats returns the live counter block.
 	Stats() *Stats
+	// SetFaults arms fault injection; nil leaves the fabric perfect.
+	// Must be called before the first Send.
+	SetFaults(inj *fault.Injector)
+	// SetLatencyHist attaches a per-delivery latency histogram (nil
+	// disables it again). The delivery path pays one nil check when
+	// unobserved.
+	SetLatencyHist(h *metrics.Histogram)
+	// Drained reports quiescence: no flit buffered, no transmission in
+	// flight, no delivery pending. The conservation tests assert it after
+	// the kernel runs dry — a fabric that is not drained then has lost
+	// traffic.
+	Drained() bool
 }
 
-// Drainer is implemented by fabrics that can report quiescence: no flit
-// buffered, no transmission in flight, no delivery pending. The
-// conservation tests and the system layer assert it after the kernel
-// runs dry — a fabric that is not drained then has lost traffic.
-type Drainer interface {
-	Drained() bool
+// New builds the fabric a validated config's network kind names, on
+// kernel k. It is the one place that maps a network kind to a fabric.
+func New(k *sim.Kernel, cfg *config.Config) Network {
+	n := &cfg.Network
+	switch n.Kind {
+	case config.EMeshPure, config.EMeshBCast:
+		return NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, n.Kind == config.EMeshBCast)
+	case config.ATAC, config.ATACPlus:
+		return NewAtac(k, cfg)
+	case config.Corona:
+		return NewCrossbar(k, cfg)
+	case config.HybridMesh:
+		return NewHybrid(k, cfg)
+	}
+	panic(fmt.Sprintf("noc: unknown network kind %v", n.Kind))
 }
 
 // FlitsFor returns the number of flits needed for bits at the given flit
@@ -147,18 +172,18 @@ type Stats struct {
 
 	// Fault-injection / resilience events (internal/fault). All zero
 	// when the fault layer is disabled.
-	MeshFlitErrors       uint64 // electrical link crossings NACKed by the receiver
-	MeshNacks            uint64 // link-level NACK wire traversals (== errors)
-	MeshRetxFlits        uint64 // link-level retransmission crossings
-	MeshRetriesExhausted uint64 // flits forced through after the retry budget
-	OpticalFlitErrors    uint64 // ONet data-link flits corrupted at a receiving hub
-	OpticalNacks         uint64 // corrupted optical receptions (per hub, per attempt)
-	OpticalRetxPkts      uint64 // optical retransmission attempts (channel slots)
-	OpticalRetxFlits     uint64 // flits re-sent over the ONet
+	MeshFlitErrors          uint64 // electrical link crossings NACKed by the receiver
+	MeshNacks               uint64 // link-level NACK wire traversals (== errors)
+	MeshRetxFlits           uint64 // link-level retransmission crossings
+	MeshRetriesExhausted    uint64 // flits forced through after the retry budget
+	OpticalFlitErrors       uint64 // ONet data-link flits corrupted at a receiving hub
+	OpticalNacks            uint64 // corrupted optical receptions (per hub, per attempt)
+	OpticalRetxPkts         uint64 // optical retransmission attempts (channel slots)
+	OpticalRetxFlits        uint64 // flits re-sent over the ONet
 	OpticalRetriesExhausted uint64 // packets forced through after the retry budget
-	ReroutedMsgs         uint64 // unicasts diverted to the ENet by degraded channels
-	ReroutedFlits        uint64
-	DegradedChannels     uint64 // optical channels currently degraded (gauge)
+	ReroutedMsgs            uint64 // unicasts diverted to the ENet by degraded channels
+	ReroutedFlits           uint64
+	DegradedChannels        uint64 // optical channels currently degraded (gauge)
 }
 
 // FaultEvents reports whether any resilience counter is nonzero (used by
@@ -166,6 +191,20 @@ type Stats struct {
 func (s *Stats) FaultEvents() bool {
 	return s.MeshFlitErrors != 0 || s.OpticalFlitErrors != 0 ||
 		s.ReroutedMsgs != 0 || s.DegradedChannels != 0
+}
+
+// recordDelivery counts one delivery of m at time now and records its
+// latency, also into hist when one is attached.
+func (s *Stats) recordDelivery(m *Message, now sim.Time, hist *metrics.Histogram) {
+	s.Delivered++
+	if m.IsBroadcast() {
+		s.BroadcastRecv++
+	} else {
+		s.UnicastRecv++
+	}
+	s.RecordLatency(now - m.Inject)
+	s.RecordClassLatency(m.Class, now-m.Inject)
+	hist.Observe(uint64(now - m.Inject))
 }
 
 // RecordLatency adds one delivery latency observation.
@@ -221,6 +260,7 @@ type pairOrder struct {
 	next    map[pairKey]uint64
 	want    map[pairKey]uint64
 	held    map[pairKey]map[uint64]*Message
+	waiting int // messages in held
 	deliver DeliverFunc
 }
 
@@ -253,6 +293,7 @@ func (p *pairOrder) receive(dst int, m *Message) {
 			p.held[k] = held
 		}
 		held[m.pairSeq] = m
+		p.waiting++
 		return
 	}
 	p.want[k] = want
@@ -264,6 +305,7 @@ func (p *pairOrder) receive(dst int, m *Message) {
 			return
 		}
 		delete(held, p.want[k]+1)
+		p.waiting--
 		p.want[k]++
 		p.deliver(dst, next)
 	}

@@ -5,10 +5,7 @@
 // the hot paths are untouched whether metrics are on or off.
 package system
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/noc"
-)
+import "repro/internal/metrics"
 
 // AttachMetrics registers per-epoch samplers for every layer of this
 // machine on the collector: cores, coherence/caches, the NoC (including a
@@ -128,16 +125,7 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	// Delivery-latency histogram, hooked into the network ejection path
 	// (one nil check per delivery when unobserved).
 	s.LatHist = &metrics.Histogram{}
-	switch n := s.Net.(type) {
-	case *noc.Mesh:
-		n.SetLatencyHist(s.LatHist)
-	case *noc.Atac:
-		n.SetLatencyHist(s.LatHist)
-	case *noc.Crossbar:
-		n.SetLatencyHist(s.LatHist)
-	case *noc.Hybrid:
-		n.SetLatencyHist(s.LatHist)
-	}
+	s.Net.SetLatencyHist(s.LatHist)
 	c.AddHistogram("lat", s.LatHist)
 
 	// Derived per-epoch rates and ratios. Indices are bound once here;

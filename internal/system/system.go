@@ -41,28 +41,13 @@ func New(cfg config.Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{Cfg: cfg, K: &sim.Kernel{}}
-	n := &s.Cfg.Network
-	switch n.Kind {
-	case config.EMeshPure:
-		s.Net = noc.NewMesh(s.K, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, false)
-	case config.EMeshBCast:
-		s.Net = noc.NewMesh(s.K, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, true)
-	case config.ATAC, config.ATACPlus:
-		a := noc.NewAtac(s.K, &s.Cfg)
-		s.Atac = a
-		s.Net = a
-	case config.Corona:
-		s.Net = noc.NewCrossbar(s.K, &s.Cfg)
-	case config.HybridMesh:
-		s.Net = noc.NewHybrid(s.K, &s.Cfg)
-	default:
-		return nil, fmt.Errorf("system: unknown network kind %v", n.Kind)
-	}
+	s.Net = noc.New(s.K, &s.Cfg)
+	s.Atac, _ = s.Net.(*noc.Atac)
 	// Arm fault injection when configured. NewInjector returns nil for the
 	// disabled (zero) Fault section, and the networks never consult a nil
 	// injector, so fault-free runs are bit-identical to pre-fault builds.
-	if inj := fault.NewInjector(cfg.Fault, n.FlitBits, cfg.Seed, s.K); inj != nil {
-		s.Net.(interface{ SetFaults(*fault.Injector) }).SetFaults(inj)
+	if inj := fault.NewInjector(cfg.Fault, cfg.Network.FlitBits, cfg.Seed, s.K); inj != nil {
+		s.Net.SetFaults(inj)
 	}
 	s.Coh = coherence.NewSystem(s.K, &s.Cfg, s.Net)
 	s.Core = make([]*cpu.Core, cfg.Cores)
@@ -103,16 +88,16 @@ type Result struct {
 // distribution. It rides inside Result so synthetic runs share the
 // campaign engine's memo, persistent cache, and journal unchanged.
 type SynthStats struct {
-	Pattern    string
-	Load       float64 // offered flits/cycle/core
-	BcastFrac  float64
-	Injected   uint64
-	Delivered  uint64
-	MeanLat    float64
-	P50Lat     uint64
-	P95Lat     uint64
-	P99Lat     uint64
-	MaxLat     uint64
+	Pattern   string
+	Load      float64 // offered flits/cycle/core
+	BcastFrac float64
+	Injected  uint64
+	Delivered uint64
+	MeanLat   float64
+	P50Lat    uint64
+	P95Lat    uint64
+	P99Lat    uint64
+	MaxLat    uint64
 }
 
 // IPC returns average retired instructions per core-cycle.

@@ -16,10 +16,17 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	cfg = config.Tiny()
+	cfg.Network.Kind = config.HybridMesh + 1
+	if _, err := New(cfg); err == nil {
+		t.Fatal("unknown network kind accepted")
+	}
 }
 
 func TestNewBuildsAllNetworkKinds(t *testing.T) {
-	for _, k := range []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC, config.ATACPlus} {
+	for _, k := range []config.NetworkKind{
+		config.EMeshPure, config.EMeshBCast, config.ATAC, config.ATACPlus, config.Corona, config.HybridMesh,
+	} {
 		cfg := config.Tiny().WithNetwork(k)
 		s, err := New(cfg)
 		if err != nil {
